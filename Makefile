@@ -33,9 +33,11 @@ cover:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
-## vet: static analysis
+## vet: static analysis, also for arm64 so the !amd64 portable kernels
+## compile (CI)
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 ## lint: vet plus staticcheck and govulncheck (CI lint job). The extra
 ## tools are not vendored; locally they run only if already on PATH
@@ -97,7 +99,7 @@ downlink-smoke:
 	./scripts/downlink_smoke.sh
 
 ## fuzz-smoke: short native-fuzz runs of the untrusted-input decoders and
-## the int8 arithmetic kernels (CI)
+## the int8 and float32 arithmetic kernels (CI)
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/evio
@@ -105,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMerge -fuzztime=$(FUZZTIME) -run '^$$' ./internal/merge
 	$(GO) test -fuzz=FuzzRequantize -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn/quant
 	$(GO) test -fuzz=FuzzDotInt8 -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn/quant
+	$(GO) test -fuzz=FuzzLinearForward -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn
 	$(GO) test -fuzz=FuzzSkymapDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/skymap
 	$(GO) test -fuzz=FuzzScenarioParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaos
 	$(GO) test -fuzz=FuzzChunkDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/downlink

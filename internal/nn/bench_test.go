@@ -17,6 +17,9 @@ func benchNet() *Sequential {
 	)
 }
 
+// sink keeps benchmarked results live so the compiler cannot drop the call.
+var sink *Tensor
+
 func BenchmarkForwardBatch597(b *testing.B) {
 	// The paper's FPGA workload: one background-net pass over 597 rings.
 	net := benchNet()
@@ -24,7 +27,7 @@ func BenchmarkForwardBatch597(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x, false)
+		sink = net.Forward(x, false)
 	}
 }
 
@@ -34,7 +37,29 @@ func BenchmarkForwardSingle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x, false)
+		sink = net.Forward(x, false)
+	}
+}
+
+// BenchmarkLinearForward times the background net's widest layer,
+// Linear(256→128), over one burst shard (462 rows): the active
+// linearForward (the SIMD kernel on amd64) and the portable dot loop.
+func BenchmarkLinearForward(b *testing.B) {
+	rng := xrand.New(5)
+	l := NewLinear(256, 128, rng)
+	x := randTensor(462, 256, rng)
+	y := NewTensor(462, 128)
+	for _, impl := range []struct {
+		name string
+		f    func(y, x *Tensor, w, b []float32)
+	}{{"kernel", linearForward}, {"generic", linearForwardGeneric}} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.f(y, x, l.Weight.W, l.Bias.W)
+			}
+			sink = y
+		})
 	}
 }
 

@@ -68,15 +68,23 @@ func (l *Linear) Forward(x *Tensor, train bool) *Tensor {
 		l.x = x
 	}
 	y := NewTensor(x.Rows, l.Out)
-	w := l.Weight.W
+	linearForward(y, x, l.Weight.W, l.Bias.W)
+	return y
+}
+
+// linearForwardGeneric computes y = x·Wᵀ + b, W stored [len(b)][x.Cols]
+// row-major, with one dot per (row, output). It is the portable
+// linearForward and the reference the SIMD kernel is differential-tested
+// against (TestLinearForwardMatchesGeneric, FuzzLinearForward).
+func linearForwardGeneric(y, x *Tensor, w, b []float32) {
+	in := x.Cols
 	for r := 0; r < x.Rows; r++ {
 		xr := x.Row(r)
 		yr := y.Row(r)
-		for o := 0; o < l.Out; o++ {
-			yr[o] = dot(xr, w[o*l.In:(o+1)*l.In]) + l.Bias.W[o]
+		for o := range yr {
+			yr[o] = dot(xr, w[o*in:(o+1)*in]) + b[o]
 		}
 	}
-	return y
 }
 
 // dot computes Σ a[i]*b[i] with 4-way unrolling; a and b must have equal
@@ -183,11 +191,19 @@ func (b *BatchNorm1D) Forward(x *Tensor, train bool) *Tensor {
 	}
 	y := NewTensor(x.Rows, x.Cols)
 	if !train {
-		for c := 0; c < b.Dim; c++ {
-			inv := float32(1 / math.Sqrt(float64(b.RunVar[c]+b.Eps)))
-			g, bt, mu := b.Gamma.W[c], b.Beta.W[c], b.RunMean[c]
-			for r := 0; r < x.Rows; r++ {
-				y.Set(r, c, (x.At(r, c)-mu)*inv*g+bt)
+		// Row-major walk over x and y, with inv computed once per column.
+		// inv stays on the stack up to 256 columns, the paper nets' widest.
+		d := b.Dim
+		var stack [256]float32
+		inv := stack[:0]
+		for c := 0; c < d; c++ {
+			inv = append(inv, float32(1/math.Sqrt(float64(b.RunVar[c]+b.Eps))))
+		}
+		g, bt, mu := b.Gamma.W[:d], b.Beta.W[:d], b.RunMean[:d]
+		for r := 0; r < x.Rows; r++ {
+			xr, yr := x.Data[r*d:(r+1)*d], y.Data[r*d:(r+1)*d]
+			for c, v := range xr {
+				yr[c] = (v-mu[c])*inv[c]*g[c] + bt[c]
 			}
 		}
 		return y
@@ -297,20 +313,27 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward implements Layer.
 func (a *ReLU) Forward(x *Tensor, train bool) *Tensor {
 	y := NewTensor(x.Rows, x.Cols)
-	if train {
-		if cap(a.mask) < len(x.Data) {
-			a.mask = make([]bool, len(x.Data))
+	if !train {
+		for i, v := range x.Data {
+			// Keep v when v > 0, else +0. As an unsigned integer, v's bits
+			// are at most +Inf's exactly when the sign is clear and v is
+			// not NaN: v > 0, or +0, which maps to itself. The shift turns
+			// that compare into a mask, so no branch depends on the data.
+			u := math.Float32bits(v)
+			y.Data[i] = math.Float32frombits(u & uint32((int64(u)-0x7F800001)>>63))
 		}
-		a.mask = a.mask[:len(x.Data)]
+		return y
 	}
+	if cap(a.mask) < len(x.Data) {
+		a.mask = make([]bool, len(x.Data))
+	}
+	a.mask = a.mask[:len(x.Data)]
 	for i, v := range x.Data {
 		pos := v > 0
 		if pos {
 			y.Data[i] = v
 		}
-		if train {
-			a.mask[i] = pos
-		}
+		a.mask[i] = pos
 	}
 	return y
 }

@@ -48,9 +48,9 @@ func benchClassifiers(b *testing.B) (map[string]BkgClassifier, *nn.Tensor) {
 }
 
 // BenchmarkBackendBatch measures backend-generic inference per batch size —
-// the numbers behind the EXPERIMENTS.md backend table. The int8 GEMM
-// amortizes its input-quantization pass and requantization setup across
-// rows, so it should overtake float32 from batch 8 up.
+// the numbers behind the EXPERIMENTS.md backend table. On amd64 the float32
+// Linear kernel works on blocks of four rows, so a single row takes its
+// scalar loop and int8 wins there; from batch 8 up float32 is faster.
 func BenchmarkBackendBatch(b *testing.B) {
 	classifiers, x := benchClassifiers(b)
 	for _, batch := range []int{1, 8, 64, 512} {
