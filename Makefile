@@ -103,6 +103,7 @@ downlink-smoke:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/evio
+	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) -run '^$$' ./internal/evio
 	$(GO) test -fuzz=FuzzRecover -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flightlog
 	$(GO) test -fuzz=FuzzMerge -fuzztime=$(FUZZTIME) -run '^$$' ./internal/merge
 	$(GO) test -fuzz=FuzzRequantize -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn/quant

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/detector"
 	"repro/internal/evio"
@@ -132,6 +133,19 @@ func predictSigmaE(e float64) uint32 {
 	return math.Float32bits(float32(sigmaEModel.SigmaE(float64(float32(e)))))
 }
 
+// Deflate state is large to build and Reset makes it equivalent to a new
+// one, so batches reuse it: the output bytes do not change.
+var (
+	flateWriters = sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(nil, flate.DefaultCompression)
+		if err != nil {
+			panic(err) // DefaultCompression is a valid level
+		}
+		return zw
+	}}
+	flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+)
+
 // EncodeRecords packs a batch of journal record payloads into one
 // compressed message payload. The encoding is deterministic and
 // losslessly invertible by DecodeRecords for any input.
@@ -217,14 +231,14 @@ func EncodeRecords(records [][]byte, opts CodecOptions) ([]byte, error) {
 	payload := body.Bytes()
 	if !opts.NoFlate {
 		var zb bytes.Buffer
-		zw, err := flate.NewWriter(&zb, flate.DefaultCompression)
+		zw := flateWriters.Get().(*flate.Writer)
+		zw.Reset(&zb)
+		_, err := zw.Write(payload)
+		if err == nil {
+			err = zw.Close()
+		}
+		flateWriters.Put(zw)
 		if err != nil {
-			return nil, err
-		}
-		if _, err := zw.Write(payload); err != nil {
-			return nil, err
-		}
-		if err := zw.Close(); err != nil {
 			return nil, err
 		}
 		payload = zb.Bytes()
@@ -292,9 +306,12 @@ func DecodeRecords(data []byte) ([][]byte, error) {
 		// Bound decompression to what the record count could legitimately
 		// need, so a zip bomb fails fast instead of allocating.
 		limit := int64(nRecords)*int64(flightlog.MaxRecordBytes) + 1
-		zr := flate.NewReader(bytes.NewReader(body))
+		zr := flateReaders.Get().(io.ReadCloser)
+		if err := zr.(flate.Resetter).Reset(bytes.NewReader(body), nil); err != nil {
+			return nil, fmt.Errorf("downlink: inflate: %w", err)
+		}
 		raw, err := io.ReadAll(io.LimitReader(zr, limit))
-		zr.Close()
+		flateReaders.Put(zr)
 		if err != nil {
 			return nil, fmt.Errorf("downlink: inflate: %w", err)
 		}

@@ -2,6 +2,8 @@ package downlink
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -173,6 +175,53 @@ func TestCodecDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("codec output differs between identical encodes")
+	}
+}
+
+// TestCodecPooledDeflateMatchesFresh encodes and decodes batches of
+// different shapes in turn, so each reuses deflate state another batch
+// left behind, and checks every encoding against a fresh flate.NewWriter
+// over the same preconditioned body.
+func TestCodecPooledDeflateMatchesFresh(t *testing.T) {
+	batches := [][][]byte{quietRecords(t, 9, 0.5), {[]byte("not evio")}, quietRecords(t, 10, 0.2)}
+	for round := 0; round < 2; round++ {
+		for i, records := range batches {
+			plain, err := EncodeRecords(records, CodecOptions{NoFlate: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, n := binary.Uvarint(plain[8:])
+			var zb bytes.Buffer
+			zw, err := flate.NewWriter(&zb, flate.DefaultCompression)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := zw.Write(plain[8+n:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := append(append([]byte(nil), plain[:8+n]...), zb.Bytes()...)
+			want[6] |= codecFlagFlate
+
+			got, err := EncodeRecords(records, CodecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round %d batch %d: pooled deflate output differs from a fresh writer's", round, i)
+			}
+			back, err := DecodeRecords(got)
+			if err != nil || len(back) != len(records) {
+				t.Fatalf("round %d batch %d: decoded %d of %d records (%v)", round, i, len(back), len(records), err)
+			}
+			for k := range records {
+				if !bytes.Equal(back[k], records[k]) {
+					t.Fatalf("round %d batch %d: record %d not reproduced", round, i, k)
+				}
+			}
+		}
 	}
 }
 

@@ -27,11 +27,8 @@ func fuzzSeedEvents() []*detector.Event {
 	}
 }
 
-// FuzzReader feeds arbitrary bytes to the stream reader — the same path
-// adaptserve exposes to untrusted network clients. The reader must never
-// panic: truncated, corrupt, or hostile streams return errors. Run with
-// `go test -fuzz=FuzzReader ./internal/evio`.
-func FuzzReader(f *testing.F) {
+// fuzzSeeds adds the seed corpus both fuzz targets start from.
+func fuzzSeeds(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteAll(&valid, fuzzSeedEvents()); err != nil {
 		f.Fatal(err)
@@ -58,7 +55,16 @@ func FuzzReader(f *testing.F) {
 	f.Add(append(append([]byte{}, valid.Bytes()...), valid.Bytes()...))
 	// Multi-segment with an empty first segment (header-only prefix).
 	f.Add(append(append([]byte{}, empty.Bytes()...), valid.Bytes()...))
+	// Truncated exactly between the two hits of the first event.
+	f.Add(valid.Bytes()[:fileHeaderSize+eventHeaderSize+hitSize])
+}
 
+// FuzzReader feeds arbitrary bytes to the stream reader — the same path
+// adaptserve exposes to untrusted network clients. The reader must never
+// panic: truncated, corrupt, or hostile streams return errors. Run with
+// `go test -fuzz=FuzzReader ./internal/evio`.
+func FuzzReader(f *testing.F) {
+	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := NewReader(bytes.NewReader(data)).ReadAll()
 		if err != nil {
@@ -85,6 +91,33 @@ func FuzzReader(f *testing.F) {
 				t.Fatalf("event %d: round trip changed hit count: %d → %d",
 					i, len(events[i].Hits), len(again[i].Hits))
 			}
+		}
+	})
+}
+
+// FuzzUnmarshal checks that the in-memory decoder and the stream reader
+// are one codec: on every input they both accept or both reject, and
+// return the same events. On accepted input the two encoders must agree
+// as well. Run with `go test -fuzz=FuzzUnmarshal ./internal/evio`.
+func FuzzUnmarshal(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Unmarshal(data)
+		want, rerr := readAll(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("Unmarshal err %v, ReadAll err %v", err, rerr)
+		}
+		a, aerr := Marshal(got)
+		b, berr := Marshal(want)
+		if aerr != nil || berr != nil || len(got) != len(want) || !bytes.Equal(a, b) {
+			t.Fatalf("Unmarshal gave %d events, ReadAll %d; encodings differ (%v, %v)", len(got), len(want), aerr, berr)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if werr := WriteAll(&buf, got); werr != nil || !bytes.Equal(buf.Bytes(), a) {
+			t.Fatalf("WriteAll and Marshal disagree on an accepted stream (%v)", werr)
 		}
 	})
 }

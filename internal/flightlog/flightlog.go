@@ -47,6 +47,10 @@ const (
 	// MaxRecordBytes bounds a single record payload; a length prefix above
 	// it is treated as corruption rather than an allocation request.
 	MaxRecordBytes = 1 << 26 // 64 MiB
+	// maxKeptFrameBuf bounds the framing buffer a Journal keeps between
+	// appends: per-event records reuse it, while a whole-exposure record
+	// grows a one-off buffer instead of pinning megabytes.
+	maxKeptFrameBuf = 64 << 10
 )
 
 // SyncPolicy selects when appended records are fsynced to stable storage.
@@ -148,6 +152,7 @@ type Journal struct {
 	appended  int64
 	recovered int64
 	closed    bool
+	buf       []byte // frame+payload of the record being appended
 }
 
 // Dir returns the journal's directory, as passed to Open.
@@ -276,16 +281,17 @@ func (j *Journal) Append(payload []byte) error {
 			return err
 		}
 	}
-	var frame [frameSize]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := j.f.Write(frame[:]); err != nil {
+	// One write per record: the frame and payload go out together.
+	rec := binary.LittleEndian.AppendUint32(j.buf[:0], uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	rec = append(rec, payload...)
+	if cap(rec) <= maxKeptFrameBuf {
+		j.buf = rec
+	}
+	if _, err := j.f.Write(rec); err != nil {
 		return err
 	}
-	if _, err := j.f.Write(payload); err != nil {
-		return err
-	}
-	n := int64(frameSize + len(payload))
+	n := int64(len(rec))
 	j.segBytes += n
 	j.appended++
 	switch j.opts.Sync {

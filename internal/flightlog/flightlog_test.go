@@ -354,6 +354,46 @@ func TestByteExactDeterministicEncoding(t *testing.T) {
 	}
 }
 
+// TestAppendDoesNotRetainPayload overwrites every payload as soon as
+// Append returns and reuses its storage for the next record, as the
+// stream does with its per-event blobs. Replay must still read what was
+// appended: Append copies into its own framing buffer, both the reused one
+// and the one-off buffer of a record too large to keep.
+func TestAppendDoesNotRetainPayload(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := make([]byte, 0, 2*maxKeptFrameBuf)
+	var want [][]byte
+	for i, n := range []int{80, 0, 300, maxKeptFrameBuf + 1, 80, maxKeptFrameBuf - frameSize, 7} {
+		p := store[:n]
+		for k := range p {
+			p[k] = byte(i*31 + k)
+		}
+		want = append(want, append([]byte(nil), p...))
+		if err := j.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		for k := range p {
+			p[k] = 0xAA
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := replayAll(t, dir)
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("record %d (%d bytes) changed after its payload was overwritten", i, len(want[i]))
+		}
+	}
+}
+
 func TestAppendAfterCloseAndOversizeRecord(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(Options{Dir: dir})

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -323,10 +324,22 @@ func TestFailoverAndEjection(t *testing.T) {
 	// Kill the fake replica outright: connection-refused transport errors.
 	dead.ts.Close()
 
-	// Every request must still succeed; enough of them guarantees some
-	// would have routed to the dead replica first.
-	for i := 0; i < 12; i++ {
+	// Every request must still succeed. The ring places replicas by URL,
+	// and the ports are random, so keep sending until at least
+	// FailThreshold requests had the dead replica as their first choice.
+	deadFirst := 0
+	for i := 0; i < 12 || deadFirst < 2; i++ {
+		if i == 1000 {
+			t.Fatal("no request routes to the dead replica first")
+		}
 		q := fmt.Sprintf("/v1/localize?seed=%d&canonical=1", i+1)
+		u, err := url.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ringKey := contentKey(u.Path, u.Query(), body); rt.replicas[rt.ring.Candidates(ringKey)[0]].name == dead.ts.URL {
+			deadFirst++
+		}
 		resp, b := postBody(t, http.DefaultClient, rts.URL+q, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d failed: %d %s", i, resp.StatusCode, b)
