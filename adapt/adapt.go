@@ -31,8 +31,9 @@
 package adapt
 
 import (
+	"sort"
+
 	"repro/internal/background"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/detector"
 	"repro/internal/geom"
@@ -45,6 +46,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/recon"
 	"repro/internal/skymap"
+	"repro/internal/stream"
 	"repro/internal/xrand"
 )
 
@@ -316,14 +318,15 @@ func (inst *Instrument) LocalizeQuantized(obs *Observation, m *Models, int8net *
 }
 
 // Alert is one burst detected and localized by the on-board system.
-type Alert = core.Alert
+type Alert = stream.Alert
 
-// Onboard is the full flight system: a count-rate burst trigger feeding the
-// localization pipeline (internal/core). Unlike Localize, which assumes the
-// caller already knows which events belong to the burst, Onboard scans a
-// whole exposure, finds the burst windows itself, and localizes each.
+// Onboard is the full flight system: the streaming count-rate trigger
+// (internal/stream) feeding the localization pipeline. Unlike Localize,
+// which assumes the caller already knows which events belong to the burst,
+// Onboard scans a whole exposure, finds the burst windows itself, and
+// localizes each.
 type Onboard struct {
-	sys *core.System
+	cfg stream.Config
 }
 
 // NewOnboard builds the flight system. meanBackgroundRate is the expected
@@ -331,7 +334,7 @@ type Onboard struct {
 // the observed rate of a burst-free exposure). m may be nil for the no-ML
 // pipeline.
 func (inst *Instrument) NewOnboard(m *Models, meanBackgroundRate float64) *Onboard {
-	cfg := core.DefaultConfig(meanBackgroundRate)
+	cfg := stream.DefaultConfig(meanBackgroundRate)
 	cfg.Recon = inst.Recon
 	cfg.Loc = inst.Loc
 	cfg.Bundle = m
@@ -341,35 +344,21 @@ func (inst *Instrument) NewOnboard(m *Models, meanBackgroundRate float64) *Onboa
 	}
 	cfg.Workers = inst.Workers
 	cfg.Metrics = inst.Metrics
-	return &Onboard{sys: core.NewSystem(cfg)}
+	return &Onboard{cfg: cfg}
 }
 
-// NewOnboardWithSkyMaps is NewOnboard with posterior sky maps attached to
-// each alert: bands sets the map resolution (16–24 typical) and
-// temperature the empirically fitted systematic inflation (8 reproduces
-// near-nominal credible-region coverage on the default instrument; see the
-// coverage study in internal/expt). Every alert also carries the encoded
-// downlink map payload (Alert.SkyMapPayload, internal/skymap format),
-// tempered at the same temperature (temperature ≤ 0 uses the payload
-// default).
-func (inst *Instrument) NewOnboardWithSkyMaps(m *Models, meanBackgroundRate float64, bands int, temperature float64) *Onboard {
-	cfg := core.DefaultConfig(meanBackgroundRate)
-	cfg.Recon = inst.Recon
-	cfg.Loc = inst.Loc
-	cfg.Bundle = m
-	cfg.Backend = inst.Backend
-	if inst.MaxNNIters > 0 {
-		cfg.MaxNNIters = inst.MaxNNIters
-	}
-	cfg.Workers = inst.Workers
-	cfg.Metrics = inst.Metrics
-	cfg.SkyMapBands = bands
-	cfg.SkyMapTemperature = temperature
-	cfg.SkyMapPayload = true
+// NewOnboardWithSkyMaps is NewOnboard with the encoded downlink map
+// (Alert.SkyMapPayload, internal/skymap format) attached to every localized
+// alert, together with its 68% and 90% credible areas. temperature is the
+// empirically fitted systematic inflation of the map (see the coverage
+// study in internal/expt); ≤ 0 uses the payload default.
+func (inst *Instrument) NewOnboardWithSkyMaps(m *Models, meanBackgroundRate, temperature float64) *Onboard {
+	o := inst.NewOnboard(m, meanBackgroundRate)
+	o.cfg.SkyMap = true
 	if temperature > 0 {
-		cfg.SkyMapPayloadOpts.Temperature = temperature
+		o.cfg.SkyMapOpts.Temperature = temperature
 	}
-	return &Onboard{sys: core.NewSystem(cfg)}
+	return o
 }
 
 // DownlinkMap is a decoded downlink-grade quantized sky map (the payload
@@ -392,8 +381,13 @@ func (inst *Instrument) BuildSkyMap(res Result, opts SkyMapOptions) *DownlinkMap
 	return skymap.FromRings(&inst.Loc, res.ActiveRings, nil, opts)
 }
 
-// ProcessExposure scans an exposure's events for bursts and returns one
-// alert per detected burst.
+// ProcessExposure scans an exposure's events (any order; they are sorted
+// by arrival time first) for bursts and returns one alert per detected
+// burst. seed drives the localization solver.
 func (o *Onboard) ProcessExposure(events []*Event, seed uint64) []Alert {
-	return o.sys.ProcessExposure(events, xrand.New(seed))
+	sorted := append([]*Event(nil), events...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].ArrivalTime < sorted[j].ArrivalTime })
+	cfg := o.cfg
+	cfg.Seed = seed
+	return stream.Run(cfg, sorted)
 }

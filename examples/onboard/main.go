@@ -61,7 +61,7 @@ func main() {
 		}
 	}
 
-	system := inst.NewOnboardWithSkyMaps(m, meanRate, 20, 8)
+	system := inst.NewOnboardWithSkyMaps(m, meanRate, 8)
 	alerts := system.ProcessExposure(events, 42)
 	fmt.Printf("campaign: 10 s, %d events, %d bursts injected, %d alerts raised\n",
 		len(events), len(plan), len(alerts))
@@ -83,8 +83,8 @@ func main() {
 		fmt.Printf("  localized to %.2f° of the true direction in %.0f ms (%d NN iterations)\n",
 			a.Result.Loc.ErrorDeg(truth.SourceDirection()),
 			a.Result.Timing.Total.Seconds()*1e3, a.Result.NNIterations)
-		if a.SkyMap != nil {
-			fmt.Printf("  downlink notice: 90%% credible area %.1f deg²\n", a.Area90Deg2)
+		if len(a.SkyMapPayload) > 0 {
+			fmt.Printf("  downlink notice: 90%% credible area %.1f deg² (%d-byte map)\n", a.Area90Deg2, len(a.SkyMapPayload))
 		}
 	}
 

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"repro/internal/background"
-	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/evio"
 	"repro/internal/flightlog"
@@ -25,6 +24,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/xrand"
 )
 
@@ -226,10 +226,9 @@ func RunContext(ctx context.Context, cfg Config, w io.Writer) (*Result, error) {
 			events = append(events, ev)
 		}
 
+		sort.Slice(events, func(a, b int) bool { return events[a].ArrivalTime < events[b].ArrivalTime })
 		if cfg.Journal != nil {
-			sorted := append([]*detector.Event(nil), events...)
-			sort.Slice(sorted, func(a, b int) bool { return sorted[a].ArrivalTime < sorted[b].ArrivalTime })
-			if blob, jerr := evio.Marshal(sorted); jerr == nil {
+			if blob, jerr := evio.Marshal(events); jerr == nil {
 				if jerr = cfg.Journal.Append(blob); jerr != nil {
 					cfg.Metrics.Counter("campaign_journal_errors").Inc()
 				}
@@ -238,24 +237,31 @@ func RunContext(ctx context.Context, cfg Config, w io.Writer) (*Result, error) {
 			}
 		}
 
-		sysCfg := core.DefaultConfig(meanRate)
-		sysCfg.Bundle = cfg.Bundle
-		sysCfg.Backend = cfg.Backend
-		sysCfg.Workers = innerWorkers
-		sysCfg.Metrics = cfg.Metrics
-		alerts := core.NewSystem(sysCfg).ProcessExposure(events, rng)
+		scfg := stream.DefaultConfig(meanRate)
+		scfg.Bundle = cfg.Bundle
+		scfg.Backend = cfg.Backend
+		scfg.Workers = innerWorkers
+		scfg.Metrics = cfg.Metrics
+		scfg.Seed = rng.Uint64()
+		alerts := stream.Run(scfg, events)
 
+		// A burst is scored by its first alert inside its window; later
+		// in-window alerts (a bright burst's re-alert) are neither a new
+		// outcome nor false alerts.
 		trials[i].outcome = BurstOutcome{Burst: burst}
 		for _, a := range alerts {
-			if a.TriggerTime >= t0-0.3 && a.TriggerTime <= t0+1.0 {
-				trials[i].outcome.Detected = true
-				if a.Result.Loc.OK {
-					trials[i].outcome.Localized = true
-					trials[i].outcome.ErrorDeg = a.Result.Loc.ErrorDeg(burst.SourceDirection())
-					trials[i].outcome.EstimateDeg = a.Result.ErrorRadiusDeg
-				}
-			} else {
+			if a.TriggerTime < t0-0.3 || a.TriggerTime > t0+1.0 {
 				trials[i].falseAlerts++
+				continue
+			}
+			if trials[i].outcome.Detected {
+				continue
+			}
+			trials[i].outcome.Detected = true
+			if a.Result.Loc.OK {
+				trials[i].outcome.Localized = true
+				trials[i].outcome.ErrorDeg = a.Result.Loc.ErrorDeg(burst.SourceDirection())
+				trials[i].outcome.EstimateDeg = a.Result.ErrorRadiusDeg
 			}
 		}
 	})

@@ -74,6 +74,27 @@ func TestCampaignRun(t *testing.T) {
 	}
 }
 
+// TestCampaignScoresFirstAlert: a burst bright enough to re-alert inside
+// its own window is scored by its first alert. Later in-window alerts
+// neither replace the outcome nor count as false alerts.
+func TestCampaignScoresFirstAlert(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	cfg := DefaultConfig(5)
+	cfg.Bursts = 4
+	cfg.Population.FluenceMin, cfg.Population.FluenceMax = 7.5, 8
+	res := Run(cfg, nil)
+	for i, o := range res.Outcomes {
+		if !o.Localized || o.ErrorDeg >= 5 {
+			t.Errorf("burst %d (%.2f MeV/cm²): localized %v, error %.2f°", i, o.Burst.Fluence, o.Localized, o.ErrorDeg)
+		}
+	}
+	if res.FalseAlerts != 0 {
+		t.Errorf("%d false alerts", res.FalseAlerts)
+	}
+}
+
 // TestCampaignJournalRecords runs a tiny campaign with a flight journal
 // attached and checks that every trial's exposure was archived as one
 // decodable evio blob.

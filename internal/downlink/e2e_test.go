@@ -35,20 +35,11 @@ func burstSession(t *testing.T, seed uint64) (events []*detector.Event, meanRate
 
 // drainAlerts runs events through a stream processor and collects alerts.
 func drainAlerts(cfg stream.Config, events []*detector.Event) []stream.Record {
-	p := stream.New(cfg)
-	done := make(chan []stream.Record)
-	go func() {
-		var out []stream.Record
-		for a := range p.Alerts() {
-			out = append(out, a.Record())
-		}
-		done <- out
-	}()
-	for _, ev := range events {
-		p.Ingest(ev)
+	var out []stream.Record
+	for _, a := range stream.Run(cfg, events) {
+		out = append(out, a.Record())
 	}
-	p.Close()
-	return <-done
+	return out
 }
 
 // journalBytes concatenates a journal directory's segments in order.

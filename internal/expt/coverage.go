@@ -109,10 +109,8 @@ func CoverageStudy(w io.Writer, sc Scale) []CoverageResult {
 		if !pres.Loc.OK {
 			continue
 		}
-		polar := geom.Deg(geom.Polar(pres.Loc.Dir))
-		pipeline.ApplyDEtaCalibrated(bundle, pres.ActiveRings, polar)
-		probs := pipeline.BackgroundProbs(bundle, pres.ActiveRings, polar)
-		tm.mlMap = sky.MixtureLikelihood(&lc, pres.ActiveRings, probs, grid)
+		rings, probs := pipeline.ProductRings(bundle, &pres)
+		tm.mlMap = sky.MixtureLikelihood(&lc, rings, probs, grid)
 		all = append(all, tm)
 	}
 

@@ -61,20 +61,11 @@ func triggerRecords(events []*detector.Event, rate float64, workers int) []strea
 	cfg := stream.DefaultConfig(rate)
 	cfg.Workers = workers
 	cfg.Seed = 7
-	p := stream.New(cfg)
-	done := make(chan []stream.Record)
-	go func() {
-		var out []stream.Record
-		for a := range p.Alerts() {
-			out = append(out, a.Record())
-		}
-		done <- out
-	}()
-	for _, ev := range events {
-		p.Ingest(ev)
+	var out []stream.Record
+	for _, a := range stream.Run(cfg, events) {
+		out = append(out, a.Record())
 	}
-	p.Close()
-	return <-done
+	return out
 }
 
 // writeJournal appends one record per event to a fresh journal at dir.

@@ -525,7 +525,8 @@ func ApplyDEtaWith(p *par.Pool, bundle *models.Bundle, rings []*recon.Ring, pola
 // outliers are widened to their individual predictions. Use this when the
 // widths feed an uncertainty product (credible regions, error radii) rather
 // than the point-estimate's relative weighting, where ApplyDEta's
-// widening-only policy preserves accuracy better.
+// widening-only policy preserves accuracy better. ProductRings applies it
+// to copies of a result's rings.
 func ApplyDEtaCalibrated(bundle *models.Bundle, rings []*recon.Ring, polarGuess float64) {
 	if len(rings) == 0 {
 		return
@@ -558,6 +559,26 @@ func BackgroundProbs(bundle *models.Bundle, rings []*recon.Ring, polarGuess floa
 		out[i] = float64(p)
 	}
 	return out
+}
+
+// ProductRings returns the inputs of an uncertainty product (a sky map or
+// credible region) for a localized result: copies of res.ActiveRings with
+// ApplyDEtaCalibrated's honest widths, and each ring's background
+// probability at the result's polar angle. Without a bundle the widths are
+// already final, so the result's own rings are returned with nil
+// probabilities. res is never modified.
+func ProductRings(bundle *models.Bundle, res *Result) ([]*recon.Ring, []float64) {
+	if bundle == nil {
+		return res.ActiveRings, nil
+	}
+	rings := make([]*recon.Ring, len(res.ActiveRings))
+	for i, r := range res.ActiveRings {
+		c := *r
+		rings[i] = &c
+	}
+	polar := polarDeg(res.Loc.Dir)
+	ApplyDEtaCalibrated(bundle, rings, polar)
+	return rings, BackgroundProbs(bundle, rings, polar)
 }
 
 // dEtaPredictions returns the network's per-ring width predictions and the

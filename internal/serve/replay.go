@@ -118,22 +118,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			cfg.WindowSec = f
 		}
 	}
-	cfg.AlertBuffer = 64
-
-	p := stream.New(cfg)
 	alerts := make([]stream.Record, 0, 4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for a := range p.Alerts() {
-			alerts = append(alerts, a.Record())
-		}
-	}()
-	for _, ev := range events {
-		p.Ingest(ev)
+	for _, a := range stream.Run(cfg, events) {
+		alerts = append(alerts, a.Record())
 	}
-	p.Close()
-	<-done
 
 	s.metrics.Counter("serve_replay_ok").Inc()
 	resp := &ReplayResponse{

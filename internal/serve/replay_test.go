@@ -138,20 +138,10 @@ func TestReplayMatchesDirectStream(t *testing.T) {
 	cfg.MaxNNIters = inst.MaxNNIters
 	cfg.Bundle = bundle
 	cfg.Seed = seed
-	p := stream.New(cfg)
-	done := make(chan []stream.Record)
-	go func() {
-		var out []stream.Record
-		for a := range p.Alerts() {
-			out = append(out, a.Record())
-		}
-		done <- out
-	}()
-	for _, ev := range events {
-		p.Ingest(ev)
+	var want []stream.Record
+	for _, a := range stream.Run(cfg, events) {
+		want = append(want, a.Record())
 	}
-	p.Close()
-	want := <-done
 
 	if !reflect.DeepEqual(rr.Alerts, want) {
 		t.Errorf("replay alerts diverged from direct stream run\n got %+v\nwant %+v", rr.Alerts, want)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/detector"
 	"repro/internal/evio"
 	"repro/internal/features"
-	"repro/internal/geom"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -507,13 +506,7 @@ func (s *Server) handleSkymap(w http.ResponseWriter, r *http.Request) {
 		QueueMs: wait.Seconds() * 1e3,
 	}
 	if res.Loc.OK {
-		rings := res.ActiveRings
-		var probs []float64
-		if set.bundle != nil {
-			polar := geom.Deg(geom.Polar(res.Loc.Dir))
-			pipeline.ApplyDEtaCalibrated(set.bundle, rings, polar)
-			probs = pipeline.BackgroundProbs(set.bundle, rings, polar)
-		}
+		rings, probs := pipeline.ProductRings(set.bundle, &res)
 		opts := skymap.Options{
 			Temperature:  req.Temperature,
 			CoarseBands:  req.CoarseBands,

@@ -54,7 +54,7 @@ func TestBackendAlertParity(t *testing.T) {
 		cfg.Seed = 42
 		cfg.Bundle = b
 		cfg.Backend = backend
-		return feedAndDrain(cfg, events)
+		return Run(cfg, events)
 	}
 	f32 := run(pipeline.BackendFloat32)
 	i8 := run(pipeline.BackendInt8)

@@ -1,10 +1,9 @@
-// Package stream is the real-time front end of the on-board system: a
-// continuous event-ingestion pipeline with bounded memory that detects
-// burst candidates as photons arrive and hands each candidate window to
-// the Fig. 6 localization pipeline.
-//
-// Where internal/core answers "is there a burst in this recorded
-// exposure?" offline, this package answers it online, under the
+// Package stream is the on-board system's burst trigger: a continuous
+// event-ingestion pipeline with bounded memory that detects burst
+// candidates as photons arrive and hands each candidate window to the
+// Fig. 6 localization pipeline. It is the only trigger in the repository:
+// live feeds and journal replays drive a Processor, and recorded exposures
+// (campaigns, adapt.Onboard, /v1/replay) go through Run. It works under the
 // constraints flight software actually runs with:
 //
 //   - a bounded ring buffer holds the recent event history — memory use is
@@ -15,6 +14,10 @@
 //   - a sliding-window Poisson count trigger fires burst candidates, and a
 //     deadtime after each trigger keeps the burst itself from inflating
 //     the background estimate;
+//   - after an alert the sliding window re-arms only on events at or after
+//     that alert's window end, so the tail of a burst that ends inside the
+//     window cannot fire a second alert, while a burst that outlasts it
+//     re-alerts on fresh events;
 //   - backpressure is explicit: the ingest queue and the alert queue are
 //     bounded channels, overloads increment drop counters in internal/obs
 //     instead of growing queues, and nothing ever blocks the detector.
@@ -32,7 +35,6 @@ import (
 	"repro/internal/detector"
 	"repro/internal/evio"
 	"repro/internal/flightlog"
-	"repro/internal/geom"
 	"repro/internal/localize"
 	"repro/internal/models"
 	"repro/internal/obs"
@@ -60,8 +62,8 @@ const (
 // flight defaults; New fills any remaining zero values.
 type Config struct {
 	// Recon / Loc / Bundle / MaxNNIters / Workers configure the
-	// localization pipeline run on each burst candidate, exactly as in
-	// internal/core (nil Bundle = no-ML pipeline).
+	// localization pipeline run on each burst candidate (nil Bundle = no-ML
+	// pipeline).
 	Recon      recon.Config
 	Loc        localize.Config
 	Bundle     *models.Bundle
@@ -108,7 +110,8 @@ type Config struct {
 	// drops (and counts) events when it is full.
 	QueueEvents int
 	// AlertBuffer is the alert-channel capacity (default 16). Alerts are
-	// dropped (and counted) when the consumer lags this far behind.
+	// dropped (and counted) when the consumer lags this far behind. Run
+	// sizes it from its input and ignores this value.
 	AlertBuffer int
 
 	// Admit, when non-nil, gates every submitted event before any trigger
@@ -481,11 +484,15 @@ func (p *Processor) step(ev *detector.Event) {
 	m.Gauge(GaugeOccupancy).Set(float64(p.ring.n))
 	m.Gauge(GaugeRate).Set(p.rate.rate)
 
-	// Advance the sliding window: events at or before t−W leave it.
+	// Advance the sliding window: events at or before t−W leave it, and so
+	// do events before the last alert's window end (the re-arm rule).
 	if p.winLo < p.ring.oldest() {
 		p.winLo = p.ring.oldest()
 	}
-	for p.winLo < p.ring.next && p.ring.at(p.winLo).ArrivalTime <= t-p.cfg.WindowSec {
+	for p.winLo < p.ring.next {
+		if at := p.ring.at(p.winLo).ArrivalTime; at > t-p.cfg.WindowSec && at >= p.deadUntil {
+			break
+		}
 		p.winLo++
 	}
 
@@ -537,13 +544,7 @@ func (p *Processor) fire() {
 		Result:           res,
 	}
 	if p.cfg.SkyMap && res.Loc.OK {
-		rings := res.ActiveRings
-		var probs []float64
-		if p.cfg.Bundle != nil {
-			polar := geom.Deg(geom.Polar(res.Loc.Dir))
-			pipeline.ApplyDEtaCalibrated(p.cfg.Bundle, rings, polar)
-			probs = pipeline.BackgroundProbs(p.cfg.Bundle, rings, polar)
-		}
+		rings, probs := pipeline.ProductRings(p.cfg.Bundle, &res)
 		sopts := p.cfg.SkyMapOpts
 		if sopts.Workers == 0 {
 			sopts.Workers = p.cfg.Workers
@@ -560,6 +561,43 @@ func (p *Processor) fire() {
 	default:
 		m.Counter(CtrAlertsDropped).Inc()
 	}
+}
+
+// Run feeds a recorded exposure through a new processor built from cfg and
+// returns every alert in Seq order. events must be in arrival order, as a
+// feed or a journal would deliver them. Under the re-arm rule consecutive
+// trigger times are at least BurstWindowSec apart, so Run sizes the alert
+// channel from the events' time span and never drops an alert.
+func Run(cfg Config, events []*detector.Event) []Alert {
+	cfg = cfg.withDefaults()
+	cfg.AlertBuffer = maxAlerts(events, cfg.BurstWindowSec)
+	p := New(cfg)
+	for _, ev := range events {
+		p.Ingest(ev)
+	}
+	p.Close()
+	alerts := make([]Alert, 0, len(p.alerts))
+	for a := range p.alerts {
+		alerts = append(alerts, a)
+	}
+	return alerts
+}
+
+// maxAlerts bounds the alerts events can raise: every trigger time is a
+// distinct event time, at least burstSec after the previous one.
+func maxAlerts(events []*detector.Event, burstSec float64) int {
+	if len(events) == 0 {
+		return 1
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, ev := range events {
+		lo = math.Min(lo, ev.ArrivalTime)
+		hi = math.Max(hi, ev.ArrivalTime)
+	}
+	if span := (hi - lo) / burstSec; span < float64(len(events)) {
+		return int(span) + 2
+	}
+	return len(events)
 }
 
 // countWindow counts retained events with arrival time in [t0, t1).

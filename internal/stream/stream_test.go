@@ -12,7 +12,9 @@ import (
 	"repro/internal/background"
 	"repro/internal/detector"
 	"repro/internal/flightlog"
+	"repro/internal/localize"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/skymap"
 	"repro/internal/xrand"
 )
@@ -82,28 +84,9 @@ func times(evs []*detector.Event) []float64 {
 	return out
 }
 
-// feedAndDrain runs events through a new processor (blocking ingest) and
-// returns every alert.
-func feedAndDrain(cfg Config, events []*detector.Event) []Alert {
-	p := New(cfg)
-	done := make(chan []Alert)
-	go func() {
-		var out []Alert
-		for a := range p.Alerts() {
-			out = append(out, a)
-		}
-		done <- out
-	}()
-	for _, ev := range events {
-		p.Ingest(ev)
-	}
-	p.Close()
-	return <-done
-}
-
 func TestQuietStreamNoAlerts(t *testing.T) {
 	cfg := DefaultConfig(1000)
-	alerts := feedAndDrain(cfg, steadyTicks(0, 5, 1000))
+	alerts := Run(cfg, steadyTicks(0, 5, 1000))
 	if len(alerts) != 0 {
 		t.Fatalf("quiet stream produced %d alerts", len(alerts))
 	}
@@ -118,7 +101,7 @@ func TestTriggerFiresOnRateExcess(t *testing.T) {
 	sort.SliceStable(events, func(i, j int) bool {
 		return events[i].ArrivalTime < events[j].ArrivalTime
 	})
-	alerts := feedAndDrain(cfg, events)
+	alerts := Run(cfg, events)
 	if len(alerts) != 1 {
 		t.Fatalf("%d alerts, want 1", len(alerts))
 	}
@@ -170,6 +153,76 @@ func TestAlertChannelOverflowCounts(t *testing.T) {
 	// The buffered alert is still readable after Close.
 	if _, ok := <-p.Alerts(); !ok {
 		t.Fatal("buffered alert lost at Close")
+	}
+}
+
+// TestRunReturnsEveryAlert: Run sizes the alert channel from its input, so
+// more alerts than the default AlertBuffer all come back, in Seq order,
+// with none dropped.
+func TestRunReturnsEveryAlert(t *testing.T) {
+	cfg := DefaultConfig(1000)
+	cfg.Metrics = obs.NewRegistry()
+	const bursts = 20
+	var events []*detector.Event
+	for k := 0; k < bursts; k++ {
+		t0 := 2 * float64(k+1)
+		events = append(events, steadyTicks(t0-2, t0, 1000)...)
+		events = append(events, steadyTicks(t0, t0+0.1, 20000)...)
+	}
+	events = append(events, steadyTicks(2*bursts, 2*bursts+2, 1000)...)
+	sort.SliceStable(events, func(i, j int) bool {
+		return events[i].ArrivalTime < events[j].ArrivalTime
+	})
+	if def := cfg.withDefaults().AlertBuffer; bursts <= def {
+		t.Fatalf("the test needs more bursts than the default alert buffer (%d)", def)
+	}
+	alerts := Run(cfg, events)
+	if len(alerts) != bursts {
+		t.Fatalf("%d alerts for %d bursts", len(alerts), bursts)
+	}
+	for k, a := range alerts {
+		if a.Seq != k {
+			t.Errorf("alert %d has Seq %d", k, a.Seq)
+		}
+	}
+	if got := cfg.Metrics.Counter(CtrAlertsDropped).Load(); got != 0 {
+		t.Errorf("%s = %d, want 0", CtrAlertsDropped, got)
+	}
+}
+
+// TestRearmAfterAlert checks the re-arm rule: after an alert the sliding
+// window holds only events at or after that alert's window end. An excess
+// that ends inside the first alert's window, but within one sliding
+// window of its end, raises exactly one alert; an excess that outlasts the
+// window re-alerts on fresh events, a full burst window later.
+func TestRearmAfterAlert(t *testing.T) {
+	cfg := DefaultConfig(1000)
+	run := func(excessEnd float64) []Alert {
+		events := append(steadyTicks(0, 4, 1000), steadyTicks(1.5, excessEnd, 10000)...)
+		sort.SliceStable(events, func(i, j int) bool {
+			return events[i].ArrivalTime < events[j].ArrivalTime
+		})
+		return Run(cfg, events)
+	}
+
+	const tailEnd = 2.35
+	alerts := run(tailEnd)
+	if len(alerts) != 1 {
+		t.Fatalf("excess ending at %v s: %d alerts, want 1", tailEnd, len(alerts))
+	}
+	// The scenario only tests the rule if the tail still fills the sliding
+	// window when the first alert's window closes.
+	if end := alerts[0].TriggerTime + cfg.BurstWindowSec; end <= tailEnd || end-cfg.WindowSec >= tailEnd {
+		t.Fatalf("first alert window ends at %.3f s; the excess must end in the sliding window before it", end)
+	}
+
+	alerts = run(2.8)
+	if len(alerts) != 2 {
+		t.Fatalf("excess outlasting the window: %d alerts, want 2", len(alerts))
+	}
+	if alerts[1].TriggerTime < alerts[0].TriggerTime+cfg.BurstWindowSec {
+		t.Errorf("re-alert at %.3f s counts events from the first alert's window (ends %.3f s)",
+			alerts[1].TriggerTime, alerts[0].TriggerTime+cfg.BurstWindowSec)
 	}
 }
 
@@ -258,7 +311,7 @@ func TestCrashRecoveryReplayBitwise(t *testing.T) {
 	cfg := DefaultConfig(meanRate)
 	cfg.Seed = 42
 	cfg.Journal = j
-	live := feedAndDrain(cfg, events)
+	live := Run(cfg, events)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +394,7 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 	cfg := DefaultConfig(meanRate)
 	cfg.Journal = j
-	feedAndDrain(cfg, events)
+	Run(cfg, events)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +442,7 @@ func TestSkyMapAlertsReplayBitwise(t *testing.T) {
 	cfg.SkyMap = true
 	cfg.Journal = j
 	var live []Record
-	for _, a := range feedAndDrain(cfg, events) {
+	for _, a := range Run(cfg, events) {
 		live = append(live, a.Record())
 	}
 	if err := j.Close(); err != nil {
@@ -448,6 +501,43 @@ func TestSkyMapAlertsReplayBitwise(t *testing.T) {
 	}
 }
 
+// TestSkyMapLeavesResultIntact: building an alert's sky map must not
+// rewrite the localization result it came from. The alert's rings keep the
+// widths a fresh run over the same window gives, and its error radius
+// still describes those rings.
+func TestSkyMapLeavesResultIntact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains networks")
+	}
+	events, meanRate := simSession(t, 17)
+	cfg := DefaultConfig(meanRate)
+	cfg.Bundle = quantBundle(t)
+	cfg.SkyMap = true
+	cfg.Seed = 5
+	alerts := Run(cfg, events)
+	if len(alerts) == 0 || len(alerts[0].SkyMapPayload) == 0 {
+		t.Fatal("no sky-map alert")
+	}
+	a := alerts[0]
+	opts := pipeline.DefaultOptions()
+	opts.Bundle = cfg.Bundle
+	fresh := pipeline.RunWindow(opts, events, a.TriggerTime-cfg.PreTriggerSec,
+		a.TriggerTime+cfg.BurstWindowSec, xrand.New(cfg.Seed).Split(uint64(a.Seq)+1))
+	got := a.Result.ActiveRings
+	if len(got) != len(fresh.ActiveRings) {
+		t.Fatalf("alert keeps %d rings, a fresh run %d", len(got), len(fresh.ActiveRings))
+	}
+	for i, r := range got {
+		if r.DEta != fresh.ActiveRings[i].DEta {
+			t.Fatalf("ring %d width %v, fresh run %v: the sky map rewrote the result", i, r.DEta, fresh.ActiveRings[i].DEta)
+		}
+	}
+	loc := localize.DefaultConfig()
+	if want := localize.ErrorRadiusDeg(&loc, got, a.Result.Loc.Dir); a.Result.ErrorRadiusDeg != want {
+		t.Errorf("ErrorRadiusDeg %v, but its rings give %v", a.Result.ErrorRadiusDeg, want)
+	}
+}
+
 func TestAdmitGateShedsDeterministically(t *testing.T) {
 	cfg := DefaultConfig(1000)
 	cfg.Metrics = obs.NewRegistry()
@@ -460,7 +550,7 @@ func TestAdmitGateShedsDeterministically(t *testing.T) {
 	sort.SliceStable(events, func(i, j int) bool {
 		return events[i].ArrivalTime < events[j].ArrivalTime
 	})
-	alerts := feedAndDrain(cfg, events)
+	alerts := Run(cfg, events)
 	if len(alerts) != 0 {
 		t.Fatalf("gated burst still produced %d alerts", len(alerts))
 	}

@@ -11,6 +11,8 @@
 #      fpga kernel wraps the same integer arithmetic in a cycle model);
 #   3. bitwise-identical int8 alerts at different worker counts (integer
 #      inference is exact, so sharding cannot change results);
+#      every run attaches sky maps, so 2 and 3 also cover the sky-map
+#      product step byte for byte;
 #   4. float32 → int8 localization drift bounded by DRIFT_TOL_DEG (the
 #      documented quantization-error budget; see DESIGN.md "Inference
 #      backends").
@@ -36,12 +38,16 @@ echo "== train a small PTQ-quantized bundle"
 grep -q 'quantized background net' "$workdir/train.log"
 
 echo "== golden scenario through each backend"
+# Every localized alert must carry a sky map.
+has_maps='map(select(.ok)) | length > 0 and all(.skymap_b64 | length > 0)'
 for b in float32 int8 fpga-sim; do
     "$workdir/adaptstream" -seed 7 -exposure 3 -burst-at 1.2 -fluence 2 \
-        -model "$workdir/models.gob" -backend "$b" \
+        -model "$workdir/models.gob" -backend "$b" -skymap \
         -alerts "$workdir/$b.jsonl" 2>"$workdir/$b.log"
     [ -s "$workdir/$b.jsonl" ] ||
         { echo "backend $b emitted no alerts"; cat "$workdir/$b.log"; exit 1; }
+    jq -se "$has_maps" "$workdir/$b.jsonl" >/dev/null ||
+        { echo "backend $b: localized alert without skymap_b64"; exit 1; }
 done
 
 echo "== trigger decisions must match float32 exactly"
@@ -66,8 +72,10 @@ cmp "$workdir/int8.jsonl" "$workdir/fpga-sim.jsonl" || {
 echo "== int8 must be bitwise-deterministic across worker counts"
 for p in 1 4; do
     "$workdir/adaptstream" -seed 7 -exposure 3 -burst-at 1.2 -fluence 2 \
-        -model "$workdir/models.gob" -backend int8 -parallelism "$p" \
+        -model "$workdir/models.gob" -backend int8 -parallelism "$p" -skymap \
         -alerts "$workdir/int8-p$p.jsonl" 2>/dev/null
+    jq -se "$has_maps" "$workdir/int8-p$p.jsonl" >/dev/null ||
+        { echo "int8 at $p workers: localized alert without skymap_b64"; exit 1; }
 done
 cmp "$workdir/int8-p1.jsonl" "$workdir/int8-p4.jsonl" || {
     echo "int8 alerts depend on worker count:"
