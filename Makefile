@@ -73,9 +73,9 @@ stream-smoke:
 merge-smoke:
 	./scripts/merge_smoke.sh
 
-## backend-parity: golden-scenario parity across float32/int8/fpga-sim
-## backends — exact trigger identity, bitwise integer agreement, bounded
-## localization drift (CI backend-parity job)
+## backend-parity: golden-scenario parity across the float32 and int8
+## backends — exact trigger identity, bitwise int8 agreement across worker
+## counts, bounded localization drift (CI backend-parity job)
 backend-parity:
 	./scripts/backend_parity.sh
 

@@ -83,15 +83,14 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 func SetDefaultParallelism(n int) { par.SetDefaultWorkers(n) }
 
 // Backend names an inference backend for the background classifier:
-// BackendFloat32 (default), BackendInt8, or BackendFPGASim. See the
-// pipeline package for the determinism contract of each.
+// BackendFloat32 (default) or BackendInt8. See the pipeline package for
+// the determinism contract of each.
 type Backend = pipeline.Backend
 
 // The available inference backends.
 const (
 	BackendFloat32 = pipeline.BackendFloat32
 	BackendInt8    = pipeline.BackendInt8
-	BackendFPGASim = pipeline.BackendFPGASim
 )
 
 // ParseBackend validates a backend name from a flag; "" means float32.
@@ -100,8 +99,8 @@ func ParseBackend(s string) (Backend, error) { return pipeline.ParseBackend(s) }
 // NewClassifier builds the background classifier implementing backend b
 // over m's models (nil m returns nil: the no-ML pipeline). Callers that
 // accept a -backend flag should use it to validate the combination of
-// backend and model bundle up front — the int8 and fpga-sim backends
-// require a bundle quantized with adapttrain -quantize.
+// backend and model bundle up front — the int8 backend requires a bundle
+// quantized with adapttrain -quantize.
 func NewClassifier(b Backend, m *Models) (BkgClassifier, error) {
 	return pipeline.NewClassifier(b, m)
 }
@@ -133,8 +132,8 @@ type Instrument struct {
 	// Results are bitwise-identical for any value.
 	Workers int
 	// Backend selects the background-classifier inference implementation
-	// ("" or BackendFloat32 for the FP32 network; BackendInt8 and
-	// BackendFPGASim need a quantized model bundle).
+	// ("" or BackendFloat32 for the FP32 network; BackendInt8 needs a
+	// quantized model bundle).
 	Backend Backend
 	// Metrics, when non-nil, collects per-stage latency histograms and
 	// counters across every localization this instrument runs.
@@ -277,7 +276,7 @@ type Int8Background = quant.Int8Net
 
 // QuantizeBackground converts a model bundle's background network to INT8
 // and attaches the result to the bundle (Models.Int8), so a subsequent
-// SaveModels persists it and the int8/fpga-sim backends can use it. The
+// SaveModels persists it and the int8 backend can use it. The
 // bundle must have been trained with TrainingQuantizable (the layer-swapped
 // architecture that permits Linear+BN+ReLU fusion). The
 // calibration/fine-tuning data is regenerated from cfg's simulation
@@ -373,12 +372,15 @@ type SkyMapOptions = skymap.Options
 // DecodeSkyMap parses and validates an encoded downlink map payload.
 func DecodeSkyMap(b []byte) (*DownlinkMap, error) { return skymap.Decode(b) }
 
-// BuildSkyMap renders a downlink map from a localization result's
-// surviving rings using inst's solver configuration. The payload
-// (DownlinkMap.Encode) is a pure function of (rings, opts) —
-// bitwise-identical at any parallelism.
-func (inst *Instrument) BuildSkyMap(res Result, opts SkyMapOptions) *DownlinkMap {
-	return skymap.FromRings(&inst.Loc, res.ActiveRings, nil, opts)
+// BuildSkyMap renders the downlink map an alert carries for a
+// localization result that ran with models m (nil for the no-ML pipeline):
+// pipeline.ProductRings supplies the rings, their calibrated widths and
+// their background weights, and inst's solver configuration the
+// likelihood. The payload (DownlinkMap.Encode) is bitwise-identical at any
+// parallelism.
+func (inst *Instrument) BuildSkyMap(res Result, m *Models, opts SkyMapOptions) *DownlinkMap {
+	rings, probs := pipeline.ProductRings(m, &res)
+	return skymap.FromRings(&inst.Loc, rings, probs, opts)
 }
 
 // ProcessExposure scans an exposure's events (any order; they are sorted

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,6 +73,16 @@ func TestTrainSaveLoadLocalize(t *testing.T) {
 	}
 	if r1.NNIterations == 0 {
 		t.Error("ML loop did not run")
+	}
+
+	// With models, BuildSkyMap renders the payload the ML alert carries.
+	events, rate, _ := exposure(&inst, 3, []float64{1.5}, 5)
+	alerts := inst.NewOnboardWithSkyMaps(m, rate, 0).ProcessExposure(events, 5)
+	if len(alerts) != 1 || !alerts[0].Result.Loc.OK {
+		t.Fatalf("%d alerts, want 1 localized", len(alerts))
+	}
+	if !bytes.Equal(inst.BuildSkyMap(alerts[0].Result, m, SkyMapOptions{}).Encode(), alerts[0].SkyMapPayload) {
+		t.Error("BuildSkyMap differs from the ML alert's payload")
 	}
 }
 

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/detector"
@@ -84,6 +85,9 @@ func TestOnboardSkyMaps(t *testing.T) {
 	}
 	if !m.Contains(burst.SourceDirection(), 0.99) {
 		t.Error("99% credible region misses the truth on a bright burst")
+	}
+	if !bytes.Equal(inst.BuildSkyMap(a.Result, nil, SkyMapOptions{Temperature: 8}).Encode(), a.SkyMapPayload) {
+		t.Error("BuildSkyMap differs from the alert's payload")
 	}
 	// Without sky maps, no payload.
 	if plain := inst.NewOnboard(nil, rate).ProcessExposure(events, 5); len(plain) == 1 && plain[0].SkyMapPayload != nil {

@@ -334,7 +334,7 @@ func BenchmarkQuantStudy(b *testing.B) {
 // calibration study (an addition of this reproduction).
 func BenchmarkCoverageStudy(b *testing.B) {
 	sc := benchScale()
-	expt.SharedBundle(sc)
+	expt.Int8Background(sc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		expt.CoverageStudy(io.Discard, sc)

@@ -38,7 +38,7 @@ func main() {
 	bursts := flag.Int("bursts", 30, "number of bursts to inject")
 	seed := flag.Uint64("seed", 1, "campaign seed")
 	modelPath := flag.String("models", "", "trained model bundle (empty = no-ML pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32, int8, or fpga-sim (int8/fpga-sim need a bundle from adapttrain -quantize)")
+	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
 	alertsPath := flag.String("alerts", "", "write per-burst outcomes as JSON lines to this file")
 	quiet := flag.Float64("quiet", 2, "quiet seconds around each burst")
 	parallelism := flag.Int("parallelism", 0, "worker count for the per-trial fan-out (0 = GOMAXPROCS, 1 = serial; outcomes identical either way)")

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime/pprof"
 
@@ -21,9 +22,6 @@ import (
 	"repro/internal/evio"
 	"repro/internal/geom"
 	"repro/internal/plot"
-	"repro/internal/recon"
-	"repro/internal/sky"
-	smap "repro/internal/skymap"
 )
 
 func main() {
@@ -34,12 +32,10 @@ func main() {
 	azimuth := flag.Float64("azimuth", 30, "source azimuth in degrees")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	modelPath := flag.String("models", "", "trained model bundle (empty = no-ML pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32, int8, or fpga-sim (int8/fpga-sim need a bundle from adapttrain -quantize)")
+	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
 	eventsPath := flag.String("events", "", "read events from an evio file (written by adaptsim -binary) instead of simulating")
-	skymap := flag.Bool("skymap", false, "compute the posterior sky map: analytic and tempered credible areas plus an ASCII rendering")
-	skymapTemp := flag.Float64("skymap-temp", smap.DefaultTemperature,
-		"posterior tempering temperature for the tempered credible areas (the empirically "+
-			"fitted systematic inflation — see the coverage study in EXPERIMENTS.md; 1 = statistical-only, must be > 0)")
+	skymap := flag.Bool("skymap", false, "build the alert's downlink sky-map payload: print its 68%/90% credible areas and size, and render it")
+	skymapTemp := flag.Float64("skymap-temp", 0, "sky-map tempering temperature (0 = the calibrated default, 1 = statistical-only)")
 	parallelism := flag.Int("parallelism", 0, "worker count for the parallel pipeline stages (0 = GOMAXPROCS, 1 = serial)")
 	repeat := flag.Int("repeat", 1, "run the pipeline this many times (same events; use with -report for stable stage statistics)")
 	report := flag.Bool("report", false, "print the per-stage latency report (mean/p50/p90/p99 per stage) after the run")
@@ -50,6 +46,9 @@ func main() {
 	if *version {
 		fmt.Println(buildinfo.Line("adaptloc"))
 		return
+	}
+	if *skymapTemp < 0 {
+		log.Fatal("-skymap-temp must be >= 0 (0 = calibrated default)")
 	}
 
 	if *cpuprofile != "" {
@@ -163,28 +162,15 @@ func main() {
 	}
 
 	if *skymap {
-		if *skymapTemp <= 0 {
-			log.Fatal("-skymap-temp must be > 0 (1 = statistical-only)")
-		}
-		var rings []*recon.Ring
-		for _, ev := range events {
-			if r, ok := recon.Reconstruct(&inst.Recon, ev); ok {
-				rings = append(rings, r)
-			}
-		}
-		m := sky.Likelihood(&inst.Loc, rings, sky.NewGrid(24))
-		tm := m.Tempered(*skymapTemp)
-		// The analytic areas undercover (EXPERIMENTS.md measures 0.55
-		// observed at 0.68 nominal); the tempered areas are the calibrated
-		// numbers a notice should quote.
-		fmt.Printf("posterior sky map: analytic 68%% area %.1f deg², 90%% area %.1f deg²\n",
-			m.CredibleAreaDeg2(0.68), m.CredibleAreaDeg2(0.90))
-		fmt.Printf("tempered (T=%g):   calibrated 68%% area %.1f deg², 90%% area %.1f deg²\n",
-			*skymapTemp, tm.CredibleAreaDeg2(0.68), tm.CredibleAreaDeg2(0.90))
+		pm := inst.BuildSkyMap(res, m, adapt.SkyMapOptions{Temperature: *skymapTemp})
+		fmt.Printf("sky-map payload (T=%g, %d bytes): 68%% area %.1f deg², 90%% area %.1f deg²\n",
+			pm.Temperature, pm.EncodedSize(), pm.Area68, pm.Area90)
 		marks := map[byte]geom.Vec{'L': res.Loc.Dir}
 		if truth != nil {
 			marks['T'] = *truth
 		}
-		plot.SkyMap(os.Stdout, rings, marks, 27)
+		plot.Density(os.Stdout, func(d geom.Vec) float64 {
+			return math.Exp(pm.LogDensity(d))
+		}, marks, 27, "orthographic view from zenith; shading = payload posterior density, L = localization, T = truth")
 	}
 }

@@ -111,7 +111,7 @@ func main() {
 	sigma := flag.Float64("sigma", 8, "trigger significance threshold in Poisson sigma")
 	window := flag.Float64("window", 0.1, "trigger sliding-window width in seconds")
 	modelPath := flag.String("model", "", "model bundle for the ML pipeline (empty = analytic pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32, int8, or fpga-sim (int8/fpga-sim need a bundle from adapttrain -quantize)")
+	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for localization (0 = GOMAXPROCS)")
 
 	// Recording and output.

@@ -46,7 +46,7 @@ func main() {
 	log.SetPrefix("adaptserve: ")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	modelPath := flag.String("models", "", "trained model bundle to serve (empty = no-ML pipeline; /admin/reload can load later)")
-	backendName := flag.String("backend", "float32", "inference backend: float32, int8, or fpga-sim (int8/fpga-sim need a bundle from adapttrain -quantize)")
+	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
 	parallelism := flag.Int("parallelism", 0, "worker count for each request's pipeline stages (0 = GOMAXPROCS, 1 = serial)")
 	concurrency := flag.Int("concurrency", 0, "max simultaneously computing requests (0 = parallelism default)")
 	queue := flag.Int("queue", 0, "max requests waiting beyond -concurrency before 429 (0 = 4x concurrency)")

@@ -71,7 +71,7 @@ func main() {
 	scorecardPath := flag.String("scorecard", "", "write the scenario scorecard JSON to this file (default stdout)")
 	alertsPath := flag.String("alerts", "", "write scenario alert records as JSON lines to this file")
 	modelPath := flag.String("model", "", "model bundle for the ML pipeline (empty = analytic pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32, int8, or fpga-sim (int8/fpga-sim need a bundle from adapttrain -quantize)")
+	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for localization (0 = GOMAXPROCS); scorecards are identical at any setting")
 	tuneTrigger := flag.Int("tune-trigger", 0, "random-search this many trigger candidates against the scenario objective and emit the best one's scorecard")
 	tuneSeed := flag.Uint64("tune-seed", 1, "trigger-search seed")

@@ -57,7 +57,7 @@ func main() {
 	sigma := flag.Float64("sigma", 8, "trigger significance threshold in Poisson sigma")
 	window := flag.Float64("window", 0.1, "trigger sliding-window width in seconds")
 	modelPath := flag.String("model", "", "model bundle for the ML pipeline (empty = analytic pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32, int8, or fpga-sim (int8/fpga-sim need a bundle from adapttrain -quantize)")
+	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
 	lossy := flag.Bool("lossy", false, "use the non-blocking detector-feed path (drops events under overload) instead of lossless ingestion")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for localization (0 = GOMAXPROCS)")
 	skymap := flag.Bool("skymap", false, "attach a quantized downlink sky-map payload (skymap_b64) plus calibrated credible areas to every alert record")

@@ -33,7 +33,7 @@ func main() {
 	seed := flag.Uint64("seed", 7, "dataset and training seed")
 	out := flag.String("o", "models.gob", "output model file")
 	noPolar := flag.Bool("no-polar", false, "train the Fig. 7 ablation variant without the polar-angle input")
-	quantize := flag.Bool("quantize", false, "also quantize the background net to INT8 and store it in the bundle (enables the int8 and fpga-sim backends)")
+	quantize := flag.Bool("quantize", false, "also quantize the background net to INT8 and store it in the bundle (enables the int8 backend)")
 	quantMode := flag.String("quant-mode", "qat", "quantization strategy when -quantize is set: qat (fine-tuned) or ptq (calibration only)")
 	quiet := flag.Bool("q", false, "suppress per-epoch progress")
 	tuneN := flag.Int("tune", 0, "run a random hyperparameter search with this many candidates before training (0 = off)")

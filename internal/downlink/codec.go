@@ -304,8 +304,11 @@ func DecodeRecords(data []byte) ([][]byte, error) {
 	body := rest[n:]
 	if flags&codecFlagFlate != 0 {
 		// Bound decompression to what the record count could legitimately
-		// need, so a zip bomb fails fast instead of allocating.
-		limit := int64(nRecords)*int64(flightlog.MaxRecordBytes) + 1
+		// need, so a zip bomb fails fast instead of allocating: each
+		// record's bytes and directory entry (kind byte, length varint),
+		// plus the length varints of the body's five prefixed streams.
+		const perRecord = flightlog.MaxRecordBytes + 1 + binary.MaxVarintLen64
+		limit := int64(nRecords)*perRecord + 5*binary.MaxVarintLen64 + 1
 		zr := flateReaders.Get().(io.ReadCloser)
 		if err := zr.(flate.Resetter).Reset(bytes.NewReader(body), nil); err != nil {
 			return nil, fmt.Errorf("downlink: inflate: %w", err)

@@ -119,21 +119,25 @@ func TestCodecRoundTripBitwise(t *testing.T) {
 	// Mix in non-canonical records: raw garbage, an empty record, and a
 	// truncated evio blob — the raw fallback must keep all of them bitwise.
 	records = append(records, []byte("not evio at all"), []byte{}, records[0][:len(records[0])-3])
-	for _, opts := range []CodecOptions{{}, {NoFlate: true}} {
-		enc, err := EncodeRecords(records, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := DecodeRecords(enc)
-		if err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
-		}
-		if len(dec) != len(records) {
-			t.Fatalf("opts %+v: %d records, want %d", opts, len(dec), len(records))
-		}
-		for i := range records {
-			if !bytes.Equal(dec[i], records[i]) {
-				t.Fatalf("opts %+v: record %d differs after round trip", opts, i)
+	// The empty batch round-trips too, although its body is nothing but
+	// stream headers.
+	for _, batch := range [][][]byte{records, nil} {
+		for _, opts := range []CodecOptions{{}, {NoFlate: true}} {
+			enc, err := EncodeRecords(batch, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeRecords(enc)
+			if err != nil {
+				t.Fatalf("%d records, opts %+v: %v", len(batch), opts, err)
+			}
+			if len(dec) != len(batch) {
+				t.Fatalf("opts %+v: %d records, want %d", opts, len(dec), len(batch))
+			}
+			for i := range batch {
+				if !bytes.Equal(dec[i], batch[i]) {
+					t.Fatalf("opts %+v: record %d differs after round trip", opts, i)
+				}
 			}
 		}
 	}

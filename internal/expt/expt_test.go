@@ -2,8 +2,11 @@ package expt
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
 func ciScale(t *testing.T) Scale {
@@ -121,35 +124,6 @@ func TestTimingTable(t *testing.T) {
 	}
 }
 
-func TestInt8ClassifierAdapter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training-heavy")
-	}
-	sc := ciScale(t)
-	int8net, bundle := Int8Background(sc)
-	if int8net == nil || bundle == nil {
-		t.Fatal("nil quantized model")
-	}
-	// The adapter must produce valid probabilities matching direct calls.
-	set := trainingSet(sc, 1001)
-	_ = set
-	cls := Int8Classifier{Net: int8net}
-	x := makeTestFeatures()
-	bundle.BkgNorm.Apply(x)
-	probs := cls.Probs(x)
-	if len(probs) != x.Rows {
-		t.Fatal("prob count mismatch")
-	}
-	for i, p := range probs {
-		if p < 0 || p > 1 {
-			t.Errorf("prob %d = %v", i, p)
-		}
-		if p != int8net.Prob(x.Row(i)) {
-			t.Error("adapter disagrees with direct call")
-		}
-	}
-}
-
 func TestModelCacheReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training-heavy")
@@ -203,42 +177,52 @@ func TestAPTStudyShape(t *testing.T) {
 
 // TestFiguresSmoke runs every figure driver once at ci scale, checking the
 // structural contract: correct series counts, all points populated with
-// finite containment values.
+// finite containment values. The figures run as parallel subtests, each
+// writing to its own buffer; the model cache trains each bundle once.
 func TestFiguresSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation- and training-heavy")
 	}
 	sc := ciScale(t)
-	check := func(name string, series []Series, wantSeries, wantPoints int) {
-		t.Helper()
-		if len(series) != wantSeries {
-			t.Fatalf("%s: %d series, want %d", name, len(series), wantSeries)
-		}
-		for _, s := range series {
-			if len(s.Points) != wantPoints {
-				t.Fatalf("%s %q: %d points, want %d", name, s.Name, len(s.Points), wantPoints)
+	grid := len(polarGrid(sc))
+	figures := []struct {
+		name                   string
+		run                    func(io.Writer, Scale) []Series
+		wantSeries, wantPoints int
+	}{
+		{"fig7", Fig7, 2, grid},
+		{"fig8", Fig8, 2, grid},
+		{"fig9", Fig9, 2, len(Fig9Fluences)},
+		{"fig10", Fig10, 2, len(Fig10Epsilons)},
+		{"fig11", Fig11, 2, grid},
+		{"ablation-thresholds", AblationThresholds, 2, 3},
+		{"ablation-iterations", AblationIterations, 2, 2},
+		{"ablation-gating", AblationGating, 2, 2},
+		{"ablation-widening", AblationWidening, 3, 2},
+		{"ablation-threecompton", AblationThreeCompton, 2, 2},
+		{"ablation-detaloss", AblationDEtaLoss, 2, 2},
+		{"pileup", PileUpStudy, len(PileUpWindows), 2},
+	}
+	for _, d := range figures {
+		t.Run(d.name, func(t *testing.T) {
+			t.Parallel()
+			var buf bytes.Buffer
+			series := d.run(&buf, sc)
+			if len(series) != d.wantSeries {
+				t.Fatalf("%d series, want %d", len(series), d.wantSeries)
 			}
-			for _, p := range s.Points {
-				if !(p.C68.Mean >= 0 && p.C68.Mean <= 180) || !(p.C95.Mean >= p.C68.Mean-1e-9) {
-					t.Errorf("%s %q at x=%v: c68=%v c95=%v", name, s.Name, p.X, p.C68, p.C95)
+			for _, s := range series {
+				if len(s.Points) != d.wantPoints {
+					t.Fatalf("%q: %d points, want %d", s.Name, len(s.Points), d.wantPoints)
+				}
+				for _, p := range s.Points {
+					if !(p.C68.Mean >= 0 && p.C68.Mean <= 180) || !(p.C95.Mean >= p.C68.Mean-1e-9) {
+						t.Errorf("%q at x=%v: c68=%v c95=%v", s.Name, p.X, p.C68, p.C95)
+					}
 				}
 			}
-		}
+		})
 	}
-	grid := len(polarGrid(sc))
-	var buf bytes.Buffer
-	check("fig7", Fig7(&buf, sc), 2, grid)
-	check("fig8", Fig8(&buf, sc), 2, grid)
-	check("fig9", Fig9(&buf, sc), 2, len(Fig9Fluences))
-	check("fig10", Fig10(&buf, sc), 2, len(Fig10Epsilons))
-	check("fig11", Fig11(&buf, sc), 2, grid)
-	check("ablation-thresholds", AblationThresholds(&buf, sc), 2, 3)
-	check("ablation-iterations", AblationIterations(&buf, sc), 2, 2)
-	check("ablation-gating", AblationGating(&buf, sc), 2, 2)
-	check("ablation-widening", AblationWidening(&buf, sc), 3, 2)
-	check("ablation-threecompton", AblationThreeCompton(&buf, sc), 2, 2)
-	check("ablation-detaloss", AblationDEtaLoss(&buf, sc), 2, 2)
-	check("pileup", PileUpStudy(&buf, sc), len(PileUpWindows), 2)
 }
 
 func TestCoverageStudy(t *testing.T) {
@@ -247,22 +231,34 @@ func TestCoverageStudy(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	results := CoverageStudy(&buf, ciScale(t))
-	if len(results) != 6 {
-		t.Fatalf("%d results, want 6 (3 arms x 2 levels)", len(results))
+	// no-ML, then mixture, flown and fitted per backend; two levels each.
+	if want := 2 * (1 + 3*len(pipeline.Backends)); len(results) != want {
+		t.Fatalf("%d results, want %d", len(results), want)
 	}
 	for _, r := range results {
 		if r.Fraction() < 0 || r.Fraction() > 1 {
-			t.Errorf("%s@%v: coverage %v", r.Arm, r.Level, r.Fraction())
+			t.Errorf("%s/%s@%v: coverage %v", r.Arm, r.Backend, r.Level, r.Fraction())
 		}
 		if r.Trials > 0 && r.MeanAreaDeg2 <= 0 {
-			t.Errorf("%s@%v: non-positive area", r.Arm, r.Level)
+			t.Errorf("%s/%s@%v: non-positive area", r.Arm, r.Backend, r.Level)
 		}
 	}
 	// The empirically tempered arm must cover at least as well as the raw
 	// ML mixture at the 90% level (that is its whole purpose).
-	if results[5].Trials > 0 && results[3].Trials > 0 &&
-		results[5].Fraction() < results[3].Fraction() {
-		t.Errorf("empirical arm (%v) worse than raw mixture (%v) at 90%%",
-			results[5].Fraction(), results[3].Fraction())
+	at90 := map[string]CoverageResult{}
+	for _, r := range results {
+		if r.Level == 0.90 {
+			at90[r.Arm+"/"+string(r.Backend)] = r
+		}
+	}
+	for _, b := range pipeline.Backends {
+		mix, fit := at90["ML mixture/"+string(b)], at90["ML fitted/"+string(b)]
+		if mix.Trials == 0 || fit.Trials == 0 {
+			t.Errorf("%s: no trials in the mixture or fitted arm", b)
+			continue
+		}
+		if fit.Fraction() < mix.Fraction() {
+			t.Errorf("%s: fitted arm (%v) worse than raw mixture (%v) at 90%%", b, fit.Fraction(), mix.Fraction())
+		}
 	}
 }

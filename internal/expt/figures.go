@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/nn"
-	"repro/internal/nn/quant"
 	"repro/internal/pipeline"
 )
 
@@ -139,19 +137,6 @@ func Fig10(w io.Writer, sc Scale) []Series {
 	return out
 }
 
-// Int8Classifier adapts the quantized background network to the pipeline's
-// classifier interface.
-type Int8Classifier struct{ Net *quant.Int8Net }
-
-// Probs implements pipeline.BkgClassifier.
-func (c Int8Classifier) Probs(x *nn.Tensor) []float32 {
-	out := make([]float32, x.Rows)
-	for i := range out {
-		out[i] = c.Net.Prob(x.Row(i))
-	}
-	return out
-}
-
 // Fig11 reproduces the quantized-model accuracy study (paper Fig. 11):
 // localization accuracy across polar angles using the INT8 background
 // network versus its FP32 (layer-swapped, fused-trainable) counterpart,
@@ -172,7 +157,7 @@ func Fig11(w io.Writer, sc Scale) []Series {
 			fluence: 1.0, polarDeg: a,
 			configure: func(o *pipeline.Options) {
 				o.Bundle = swapped
-				o.BkgOverride = Int8Classifier{Net: int8net}
+				o.BkgOverride = int8net
 			},
 		})
 		int8s.Points = append(int8s.Points, Point{X: a, C68: c68, C95: c95})

@@ -38,12 +38,6 @@ func Simulate(r Report, n int) int {
 // streamed back-to-back.
 func arrivalCycle(i int) int { return i }
 
-// SimulateMs converts Simulate's cycle count to milliseconds at the
-// report's clock.
-func SimulateMs(r Report, n int) float64 {
-	return float64(Simulate(r, n)) * r.ClockNs * 1e-6
-}
-
 // BackgroundNetLayers returns the fused layer dimensions of the paper's
 // background network kernel for in input features: the three hidden fused
 // Linear+BN+ReLU stages and the final Linear (the output sigmoid is elided;

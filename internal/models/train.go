@@ -74,9 +74,9 @@ type Bundle struct {
 	DEtaTestMSE float64
 	// Int8 is the quantized background network produced by
 	// QuantizeBackground (adapttrain -quantize); nil for an unquantized
-	// bundle. The int8 and fpga-sim inference backends require it. It
-	// shares the bundle's BkgNorm and Thr: quantization changes the
-	// arithmetic, not the feature pipeline or the decision thresholds.
+	// bundle. The int8 inference backend requires it. It shares the
+	// bundle's BkgNorm and Thr: quantization changes the arithmetic, not
+	// the feature pipeline or the decision thresholds.
 	Int8 *quant.Int8Net
 }
 

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/fpga"
 	"repro/internal/models"
 	"repro/internal/nn"
 )
@@ -20,13 +19,11 @@ import (
 //     (quant.Int8Net): int8×int8→int32 accumulate with fixed-point
 //     requantization. Integer arithmetic is exact, so results are bitwise
 //     identical at any batch size and worker count, and identical to the
-//     FPGA kernel's arithmetic by construction.
-//   - BackendFPGASim runs the same integer network wrapped in the
-//     synthesized kernel's cycle accounting (fpga.Kernel): numerically
-//     identical to BackendInt8, plus a simulated-hardware latency ledger.
+//     FPGA kernel's arithmetic by construction (the kernel's cycle cost is
+//     fpga.Report.TotalCycles per background pass).
 //
-// The int8 and fpga-sim backends require a bundle quantized with
-// adapttrain -quantize (models.Bundle.Int8 non-nil).
+// The int8 backend requires a bundle quantized with adapttrain -quantize
+// (models.Bundle.Int8 non-nil).
 type Backend string
 
 const (
@@ -34,13 +31,10 @@ const (
 	BackendFloat32 Backend = "float32"
 	// BackendInt8 is the batched integer inference path.
 	BackendInt8 Backend = "int8"
-	// BackendFPGASim is the integer path with synthesized-kernel cycle
-	// accounting.
-	BackendFPGASim Backend = "fpga-sim"
 )
 
 // Backends lists the valid backend names, for flag help text.
-var Backends = []Backend{BackendFloat32, BackendInt8, BackendFPGASim}
+var Backends = []Backend{BackendFloat32, BackendInt8}
 
 // ParseBackend validates a backend name from a flag or config; the empty
 // string means BackendFloat32.
@@ -50,16 +44,14 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendFloat32, nil
 	case BackendInt8:
 		return BackendInt8, nil
-	case BackendFPGASim:
-		return BackendFPGASim, nil
 	}
-	return "", fmt.Errorf("unknown inference backend %q (want float32, int8, or fpga-sim)", s)
+	return "", fmt.Errorf("unknown inference backend %q (want float32 or int8)", s)
 }
 
 // NewClassifier builds the background classifier implementing backend b
 // over bundle's models. A nil bundle returns (nil, nil): the pipeline runs
-// no-ML regardless of backend. The int8 and fpga-sim backends require a
-// quantized bundle.
+// no-ML regardless of backend. The int8 backend requires a quantized
+// bundle.
 func NewClassifier(b Backend, bundle *models.Bundle) (BkgClassifier, error) {
 	if bundle == nil {
 		return nil, nil
@@ -72,11 +64,6 @@ func NewClassifier(b Backend, bundle *models.Bundle) (BkgClassifier, error) {
 			return nil, fmt.Errorf("backend int8: bundle has no quantized model; train with adapttrain -quantize")
 		}
 		return bundle.Int8, nil
-	case BackendFPGASim:
-		if bundle.Int8 == nil {
-			return nil, fmt.Errorf("backend fpga-sim: bundle has no quantized model; train with adapttrain -quantize")
-		}
-		return fpga.NewKernel(bundle.Int8, fpga.DefaultDevice()), nil
 	}
 	return nil, fmt.Errorf("unknown inference backend %q", b)
 }

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/fpga"
 	"repro/internal/nn"
 	"repro/internal/nn/quant"
 	"repro/internal/xrand"
 )
 
-// benchClassifiers builds the three backends over one background-net-shaped
+// benchClassifiers builds both backends over one background-net-shaped
 // network (13→256→128→64→1, the paper's architecture) so their per-batch
 // inference cost is directly comparable. The FP32 classifier wraps the
-// unfused original; the integer backends share one converted Int8Net.
+// unfused original; the int8 backend is its converted Int8Net.
 func benchClassifiers(b *testing.B) (map[string]BkgClassifier, *nn.Tensor) {
 	b.Helper()
 	rng := xrand.New(41)
@@ -43,7 +42,6 @@ func benchClassifiers(b *testing.B) (map[string]BkgClassifier, *nn.Tensor) {
 	return map[string]BkgClassifier{
 		string(BackendFloat32): FP32Classifier{Net: net},
 		string(BackendInt8):    int8net,
-		string(BackendFPGASim): fpga.NewKernel(int8net, fpga.DefaultDevice()),
 	}, x
 }
 
@@ -57,7 +55,7 @@ func BenchmarkBackendBatch(b *testing.B) {
 		xb := nn.NewTensor(batch, x.Cols)
 		copy(xb.Data, x.Data[:batch*x.Cols])
 		out := make([]float32, batch)
-		for _, name := range []string{"float32", "int8", "fpga-sim"} {
+		for _, name := range []string{"float32", "int8"} {
 			cls := classifiers[name]
 			b.Run(fmt.Sprintf("backend=%s/batch=%d", name, batch), func(b *testing.B) {
 				b.ReportAllocs()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/fpga"
 	"repro/internal/models"
 	"repro/internal/xrand"
 )
@@ -42,7 +41,7 @@ var quantBundle = func() func(t *testing.T) *models.Bundle {
 func TestParseBackend(t *testing.T) {
 	cases := map[string]Backend{
 		"": BackendFloat32, "float32": BackendFloat32,
-		"int8": BackendInt8, "fpga-sim": BackendFPGASim,
+		"int8": BackendInt8,
 	}
 	for in, want := range cases {
 		got, err := ParseBackend(in)
@@ -50,11 +49,13 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseBackend("fp16"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend")
+	for _, bad := range []string{"fp16", "fpga-sim"} {
+		if _, err := ParseBackend(bad); err == nil {
+			t.Errorf("ParseBackend accepted %q", bad)
+		}
 	}
-	if len(Backends) != 3 {
-		t.Errorf("Backends lists %d names, want 3", len(Backends))
+	if len(Backends) != 2 {
+		t.Errorf("Backends lists %d names, want 2", len(Backends))
 	}
 }
 
@@ -73,19 +74,12 @@ func TestNewClassifier(t *testing.T) {
 	} else if cls != b.Int8 {
 		t.Errorf("int8 classifier = %T", cls)
 	}
-	if cls, err := NewClassifier(BackendFPGASim, b); err != nil {
-		t.Error(err)
-	} else if k, ok := cls.(*fpga.Kernel); !ok || k.Net() != b.Int8 {
-		t.Errorf("fpga-sim classifier = %T", cls)
-	}
 
-	// Integer backends demand a quantized bundle.
+	// The integer backend demands a quantized bundle.
 	plain := *b
 	plain.Int8 = nil
-	for _, bk := range []Backend{BackendInt8, BackendFPGASim} {
-		if _, err := NewClassifier(bk, &plain); err == nil {
-			t.Errorf("backend %s accepted an unquantized bundle", bk)
-		}
+	if _, err := NewClassifier(BackendInt8, &plain); err == nil {
+		t.Error("backend int8 accepted an unquantized bundle")
 	}
 	if _, err := NewClassifier("fp16", b); err == nil {
 		t.Error("unknown backend accepted")
@@ -113,19 +107,6 @@ func TestRunBackendResolution(t *testing.T) {
 	viaOverride := run("", b.Int8)
 	if viaBackend.Loc.Dir != viaOverride.Loc.Dir || viaBackend.Kept != viaOverride.Kept {
 		t.Error("Backend=int8 differs from BkgOverride=Int8Net")
-	}
-
-	// fpga-sim is numerically identical to int8 and charges its ledger.
-	kernel, err := NewClassifier(BackendFPGASim, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFPGA := run("", kernel)
-	if viaFPGA.Loc.Dir != viaBackend.Loc.Dir || viaFPGA.Kept != viaBackend.Kept {
-		t.Error("fpga-sim localization differs from int8")
-	}
-	if kernel.(*fpga.Kernel).SimInputs() == 0 {
-		t.Error("fpga kernel ledger not charged by the pipeline")
 	}
 }
 

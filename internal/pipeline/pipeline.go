@@ -65,10 +65,10 @@ type Options struct {
 	// normalizer. When set, it takes precedence over Backend.
 	BkgOverride BkgClassifier
 	// Backend selects which inference implementation evaluates the
-	// background network when BkgOverride is nil: float32 (default), int8,
-	// or fpga-sim. The int8 and fpga-sim backends require a quantized
-	// bundle (Bundle.Int8 non-nil); Run panics otherwise — callers surface
-	// friendlier errors by pre-validating with NewClassifier.
+	// background network when BkgOverride is nil: float32 (default) or
+	// int8. The int8 backend requires a quantized bundle (Bundle.Int8
+	// non-nil); Run panics otherwise — callers surface friendlier errors
+	// by pre-validating with NewClassifier.
 	Backend Backend
 	// MaxNNIters is the bound on localize↔classify iterations (paper:
 	// "currently five").
@@ -92,9 +92,9 @@ type Options struct {
 	// weights well, and wholesale replacement with an honest-but-noisy
 	// regression flattens that ordering. Zero means 3.
 	DEtaWidenRatio float64
-	// DisableBkgNN and DisableDEtaNN turn off one of the bundle's networks
-	// while keeping the other, for ablation studies.
-	DisableBkgNN, DisableDEtaNN bool
+	// DisableDEtaNN keeps the dEta network's widths out of the run while
+	// the background network still filters, for ablation studies.
+	DisableDEtaNN bool
 	// Workers caps parallelism for every stage of the run — reconstruction,
 	// the localization grid search, feature extraction, and sharded NN
 	// inference. 0 means the process default (par.DefaultWorkers); 1 forces
@@ -290,12 +290,7 @@ func Run(opts Options, events []*detector.Event, rng *xrand.RNG) Result {
 		}
 		res.RingsFirstBkg = len(rings)
 		prev := loc.Dir
-		maxIters := opts.MaxNNIters
-		if opts.DisableBkgNN {
-			maxIters = 0
-			active = append(active[:0], rings...)
-		}
-		for it := 0; it < maxIters; it++ {
+		for it := 0; it < opts.MaxNNIters; it++ {
 			res.NNIterations = it + 1
 
 			t0 = time.Now()
@@ -482,22 +477,17 @@ func polarDeg(v geom.Vec) float64 { return geom.Deg(geom.Polar(v)) }
 // expf32 is exp on float32 via the float64 implementation.
 func expf32(x float32) float32 { return float32(math.Exp(float64(x))) }
 
-// ApplyDEta rewrites ring widths in place using the bundle's dEta network
-// with the pipeline's widening-only policy (see Options.DEtaWidenRatio):
-// the analytic dη is globally underconfident by a roughly uniform factor
-// (the unmodeled-noise premise of §II-B), so the per-ring ratio NN/analytic
-// is first normalized by its run median; a ring is widened only when the
-// network singles it out as far more wrong than its peers — the
-// misordered/energy-lossy rings whose false certainty "can lead our
-// likelihood model astray". polarGuess is the current source polar angle
-// estimate in degrees; floor bounds the widths from below (≤0 for the
-// default); widenRatio ≤ 0 means the default 3.
-func ApplyDEta(bundle *models.Bundle, rings []*recon.Ring, polarGuess, floor, widenRatio float64) {
-	ApplyDEtaWith(nil, bundle, rings, polarGuess, floor, widenRatio)
-}
-
-// ApplyDEtaWith is ApplyDEta with inference sharded over the given worker
-// pool (nil means the process-default pool).
+// ApplyDEtaWith rewrites ring widths in place using the bundle's dEta
+// network with the pipeline's widening-only policy (see
+// Options.DEtaWidenRatio): the analytic dη is globally underconfident by a
+// roughly uniform factor (the unmodeled-noise premise of §II-B), so the
+// per-ring ratio NN/analytic is first normalized by its run median; a ring
+// is widened only when the network singles it out as far more wrong than
+// its peers — the misordered/energy-lossy rings whose false certainty "can
+// lead our likelihood model astray". polarGuess is the current source
+// polar angle estimate in degrees; floor bounds the widths from below (≤0
+// for the default); widenRatio ≤ 0 means the default 3. Inference is
+// sharded over p (nil means the process-default pool).
 func ApplyDEtaWith(p *par.Pool, bundle *models.Bundle, rings []*recon.Ring, polarGuess, floor, widenRatio float64) {
 	if len(rings) == 0 {
 		return
@@ -524,7 +514,7 @@ func ApplyDEtaWith(p *par.Pool, bundle *models.Bundle, rings []*recon.Ring, pola
 // the global underconfidence the analytic model shares across rings) and
 // outliers are widened to their individual predictions. Use this when the
 // widths feed an uncertainty product (credible regions, error radii) rather
-// than the point-estimate's relative weighting, where ApplyDEta's
+// than the point-estimate's relative weighting, where ApplyDEtaWith's
 // widening-only policy preserves accuracy better. ProductRings applies it
 // to copies of a result's rings.
 func ApplyDEtaCalibrated(bundle *models.Bundle, rings []*recon.Ring, polarGuess float64) {

@@ -147,23 +147,10 @@ func TestAblationSwitches(t *testing.T) {
 	}
 	b := tinyBundle(t)
 	events, _ := simulateExposure(1.0, 0, 8)
-
 	opts := DefaultOptions()
 	opts.Bundle = b
-	opts.DisableBkgNN = true
-	res := Run(opts, events, xrand.New(9))
-	if res.NNIterations != 0 {
-		t.Errorf("bkg NN disabled but %d iterations ran", res.NNIterations)
-	}
-	if res.Timing.DEtaNN <= 0 {
-		t.Error("dEta should still run with bkg disabled")
-	}
-
-	events2, _ := simulateExposure(1.0, 0, 8)
-	opts = DefaultOptions()
-	opts.Bundle = b
 	opts.DisableDEtaNN = true
-	res = Run(opts, events2, xrand.New(9))
+	res := Run(opts, events, xrand.New(9))
 	if res.NNIterations == 0 {
 		t.Error("bkg loop should run with dEta disabled")
 	}

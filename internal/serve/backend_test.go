@@ -79,15 +79,14 @@ func TestVersionReportsBackend(t *testing.T) {
 	}
 }
 
-// TestBackendLocalizeParity: the int8 and fpga-sim servers must both
-// localize, and must agree with each other bitwise (identical integer
-// arithmetic) on the same request.
+// TestBackendLocalizeParity: the float32 and int8 servers must both
+// localize the same request, within quantization error of each other.
 func TestBackendLocalizeParity(t *testing.T) {
 	qb := quantBundle(t)
 	body := evioBody(t, simulateEvents(1.5, 40, 71))
 
 	responses := map[adapt.Backend]*LocalizeResponse{}
-	for _, backend := range []adapt.Backend{adapt.BackendFloat32, adapt.BackendInt8, adapt.BackendFPGASim} {
+	for _, backend := range []adapt.Backend{adapt.BackendFloat32, adapt.BackendInt8} {
 		srv := New(Config{Backend: backend, Bundle: qb})
 		ts := httptest.NewServer(srv.Handler())
 		lr, resp := postLocalize(t, ts.Client(), ts.URL, body, ContentTypeEvio)
@@ -101,13 +100,9 @@ func TestBackendLocalizeParity(t *testing.T) {
 		responses[backend] = lr
 	}
 
-	i8, fp := responses[adapt.BackendInt8], responses[adapt.BackendFPGASim]
-	if i8.PolarDeg != fp.PolarDeg || i8.AzimuthDeg != fp.AzimuthDeg || i8.NNIterations != fp.NNIterations {
-		t.Errorf("int8 and fpga-sim disagree: %+v vs %+v", i8, fp)
-	}
 	// float32 may drift within quantization error, but must stay close on
 	// a bright burst.
-	f32 := responses[adapt.BackendFloat32]
+	i8, f32 := responses[adapt.BackendInt8], responses[adapt.BackendFloat32]
 	if d := f32.PolarDeg - i8.PolarDeg; d > 5 || d < -5 {
 		t.Errorf("int8 polar %v far from float32 %v", i8.PolarDeg, f32.PolarDeg)
 	}

@@ -18,10 +18,10 @@ import (
 // Batcher coalesces single-output NN inference across concurrent callers:
 // feature matrices submitted while a batch is open are concatenated and
 // evaluated in one forward pass of the wrapped classifier — whichever
-// inference backend the server was configured with (float32, int8, or
-// fpga-sim). A batch is flushed when its pending rows reach MaxRows (size
-// trigger) or when the oldest pending submission has waited Window
-// (deadline trigger). Because every backend is row-independent at
+// inference backend the server was configured with (float32 or int8). A
+// batch is flushed when its pending rows reach MaxRows (size trigger) or
+// when the oldest pending submission has waited Window (deadline
+// trigger). Because every backend is row-independent at
 // inference time (the FP32 layers per-row, the integer GEMM exactly),
 // each caller's probabilities are bitwise identical to an unbatched
 // evaluation — batching trades a bounded latency (≤ Window) for

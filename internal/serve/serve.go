@@ -43,8 +43,8 @@ type Config struct {
 	// Backend selects the inference backend every generation of models is
 	// served with ("" = float32). The server is pinned to it for its
 	// lifetime and reports it in /version. New panics when the initial
-	// bundle cannot implement it (int8/fpga-sim without a quantized
-	// model); callers get friendlier errors by pre-validating with
+	// bundle cannot implement it (int8 without a quantized model);
+	// callers get friendlier errors by pre-validating with
 	// adapt.NewClassifier.
 	Backend adapt.Backend
 	// MaxConcurrent bounds simultaneously computing requests (0 means the

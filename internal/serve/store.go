@@ -70,7 +70,7 @@ func (s *modelStore) current() *modelSet { return s.cur.Load() }
 // install makes bundle the live generation. A nil bundle switches the
 // service to the no-ML pipeline. It fails — leaving the previous
 // generation live — when the bundle cannot implement the store's backend
-// (int8/fpga-sim without a quantized model).
+// (int8 without a quantized model).
 func (s *modelStore) install(bundle *models.Bundle, path string) error {
 	set := &modelSet{bundle: bundle, path: path, loaded: time.Now(), gen: s.genc.Add(1)}
 	if bundle != nil {

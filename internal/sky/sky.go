@@ -1,14 +1,12 @@
 // Package sky provides an equal-area pixelation of the visible (upper)
-// hemisphere and posterior probability maps over it: the localization
-// product a GRB mission distributes to follow-up observers (compare the
-// HEALPix maps attached to GCN notices). Where internal/localize returns a
-// single best direction with a Gaussian error radius, this package captures
-// the full, possibly multi-modal likelihood surface and its credible
-// regions.
+// hemisphere and the rings' log-likelihood surfaces as functions of
+// direction. Where internal/localize returns a single best direction with
+// a Gaussian error radius, these surfaces capture the full, possibly
+// multi-modal likelihood; internal/skymap samples them onto the grids of
+// the downlinked payload and its credible regions.
 package sky
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -104,53 +102,25 @@ func (g *Grid) PixelSr(i int) float64 {
 	return 2 * math.Pi * (math.Cos(t0) - math.Cos(t1)) / float64(g.bandPix[band])
 }
 
-// Map is a log-likelihood surface over a grid.
-type Map struct {
-	Grid *Grid
-	LogL []float64
-}
-
 // LikelihoodEvaluator returns the rings' joint robust log-likelihood as a
-// function of direction — the continuous surface that Likelihood samples
-// onto a grid and that the hierarchical payload builder (internal/skymap)
-// samples adaptively.
+// function of direction — the continuous surface that internal/skymap
+// samples adaptively into the hierarchical payload.
 func LikelihoodEvaluator(cfg *localize.Config, rings []*recon.Ring) func(geom.Vec) float64 {
 	return func(d geom.Vec) float64 {
 		return localize.LogLikelihood(cfg, rings, d)
 	}
 }
 
-// Likelihood evaluates the rings' joint robust log-likelihood at every
-// pixel center.
-func Likelihood(cfg *localize.Config, rings []*recon.Ring, g *Grid) *Map {
-	eval := LikelihoodEvaluator(cfg, rings)
-	m := &Map{Grid: g, LogL: make([]float64, g.NumPixels())}
-	for i := range m.LogL {
-		m.LogL[i] = eval(g.Dir(i))
-	}
-	return m
-}
-
-// MixtureLikelihood evaluates a background-aware joint log-likelihood: each
-// ring contributes ln[(1−pᵢ)·exp(−pull²/2) + pᵢ·floor], where pᵢ is the
-// ring's background probability (e.g. from the background network) and
+// MixtureEvaluator returns a background-aware joint log-likelihood as a
+// function of direction: each ring contributes
+// ln[(1−pᵢ)·exp(−pull²/2) + pᵢ·floor], where pᵢ is the ring's background
+// probability (e.g. from the background network) and
 // floor = exp(−RobustCap/2) is the density a background ring contributes
-// anywhere on the sky. With pᵢ = 0 for all rings this reduces to a softened
-// version of the robust capped likelihood; with honest (wide) ring widths
-// it keeps residual background rings from biasing the map, which hard
-// capping alone cannot once pulls shrink below the cap.
-func MixtureLikelihood(cfg *localize.Config, rings []*recon.Ring, bkgProb []float64, g *Grid) *Map {
-	eval := MixtureEvaluator(cfg, rings, bkgProb)
-	m := &Map{Grid: g, LogL: make([]float64, g.NumPixels())}
-	for i := range m.LogL {
-		m.LogL[i] = eval(g.Dir(i))
-	}
-	return m
-}
-
-// MixtureEvaluator returns MixtureLikelihood's background-aware joint
-// log-likelihood as a function of direction. It panics when bkgProb and
-// rings disagree in length.
+// anywhere on the sky. With pᵢ = 0 for all rings this reduces to a
+// softened version of the robust capped likelihood; with honest (wide)
+// ring widths it keeps residual background rings from biasing the map,
+// which hard capping alone cannot once pulls shrink below the cap. It
+// panics when bkgProb and rings disagree in length.
 func MixtureEvaluator(cfg *localize.Config, rings []*recon.Ring, bkgProb []float64) func(geom.Vec) float64 {
 	if len(bkgProb) != len(rings) {
 		panic("sky: bkgProb length mismatch")
@@ -169,113 +139,4 @@ func MixtureEvaluator(cfg *localize.Config, rings []*recon.Ring, bkgProb []float
 		}
 		return ll
 	}
-}
-
-// Best returns the maximum-likelihood pixel direction and its log-likelihood.
-func (m *Map) Best() (geom.Vec, float64) {
-	bi, bl := 0, math.Inf(-1)
-	for i, l := range m.LogL {
-		if l > bl {
-			bi, bl = i, l
-		}
-	}
-	return m.Grid.Dir(bi), bl
-}
-
-// Posterior converts the log-likelihood surface to per-pixel posterior
-// probabilities (flat prior over the visible sky, solid-angle weighted).
-func (m *Map) Posterior() []float64 {
-	out := make([]float64, len(m.LogL))
-	// Subtract the max for numerical stability.
-	mx := math.Inf(-1)
-	for _, l := range m.LogL {
-		mx = math.Max(mx, l)
-	}
-	var total float64
-	for i, l := range m.LogL {
-		out[i] = math.Exp(l-mx) * m.Grid.PixelSr(i)
-		total += out[i]
-	}
-	if total > 0 {
-		for i := range out {
-			out[i] /= total
-		}
-	}
-	return out
-}
-
-// CredibleRegion returns the smallest set of pixels whose posterior sums to
-// at least p, highest-probability first. Equal-probability pixels at the
-// credible boundary are ordered by pixel index, so the region is a pure
-// function of the posterior — identical across runs and platforms even when
-// the boundary falls inside a tie.
-func (m *Map) CredibleRegion(p float64) []int {
-	post := m.Posterior()
-	idx := make([]int, len(post))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := post[idx[a]], post[idx[b]]
-		if pa != pb {
-			return pa > pb
-		}
-		return idx[a] < idx[b]
-	})
-	var out []int
-	var acc float64
-	for _, i := range idx {
-		out = append(out, i)
-		acc += post[i]
-		if acc >= p {
-			break
-		}
-	}
-	return out
-}
-
-// CredibleAreaDeg2 returns the solid angle of the p credible region in
-// square degrees — the headline number of a localization notice.
-func (m *Map) CredibleAreaDeg2(p float64) float64 {
-	var sr float64
-	for _, i := range m.CredibleRegion(p) {
-		sr += m.Grid.PixelSr(i)
-	}
-	const deg2PerSr = (180 / math.Pi) * (180 / math.Pi)
-	return sr * deg2PerSr
-}
-
-// Contains reports whether direction d falls in the p credible region.
-func (m *Map) Contains(d geom.Vec, p float64) bool {
-	target := m.Grid.Find(d)
-	for _, i := range m.CredibleRegion(p) {
-		if i == target {
-			return true
-		}
-	}
-	return false
-}
-
-// Tempered returns a copy of the map with the log-likelihood divided by T:
-// the standard posterior-tempering form of an empirical systematic-error
-// inflation (T = 1 is the identity, the statistical-only map; larger T
-// widens every credible region). A non-positive temperature is a caller
-// bug — there is no physically meaningful T ≤ 0, and silently substituting
-// one would hide a miscalibrated configuration — so it panics.
-func (m *Map) Tempered(t float64) *Map {
-	if t <= 0 {
-		panic("sky: non-positive temperature")
-	}
-	out := &Map{Grid: m.Grid, LogL: make([]float64, len(m.LogL))}
-	for i, l := range m.LogL {
-		out.LogL[i] = l / t
-	}
-	return out
-}
-
-// String summarizes the map.
-func (m *Map) String() string {
-	best, ll := m.Best()
-	return fmt.Sprintf("skymap[%d px, peak %v (logL %.1f), 90%% area %.1f deg²]",
-		m.Grid.NumPixels(), best, ll, m.CredibleAreaDeg2(0.9))
 }

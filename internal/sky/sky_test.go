@@ -77,179 +77,24 @@ func ringsAround(s geom.Vec, n int, noise float64, rng *xrand.RNG) []*recon.Ring
 	return rings
 }
 
+// peak returns the pixel center of g where eval is largest.
+func peak(eval func(geom.Vec) float64, g *Grid) geom.Vec {
+	best, bl := g.Dir(0), math.Inf(-1)
+	for i := 0; i < g.NumPixels(); i++ {
+		if l := eval(g.Dir(i)); l > bl {
+			best, bl = g.Dir(i), l
+		}
+	}
+	return best
+}
+
 func TestLikelihoodPeaksAtSource(t *testing.T) {
 	cfg := localize.DefaultConfig()
 	rng := xrand.New(1)
 	s := geom.FromSpherical(geom.Rad(35), geom.Rad(120))
-	rings := ringsAround(s, 80, 0.02, rng)
-	g := NewGrid(16)
-	m := Likelihood(&cfg, rings, g)
-	best, _ := m.Best()
-	if d := geom.Deg(geom.AngleBetween(best, s)); d > 6 {
-		t.Errorf("map peak %v° from the source", d)
-	}
-	if !m.Contains(s, 0.95) {
-		t.Error("95% credible region misses the source")
-	}
-	if m.String() == "" {
-		t.Error("empty map summary")
-	}
-}
-
-func TestCredibleAreaShrinksWithMoreRings(t *testing.T) {
-	cfg := localize.DefaultConfig()
-	s := geom.FromSpherical(geom.Rad(20), geom.Rad(-40))
-	g := NewGrid(24)
-	few := Likelihood(&cfg, ringsAround(s, 6, 0.15, xrand.New(2)), g)
-	many := Likelihood(&cfg, ringsAround(s, 300, 0.15, xrand.New(3)), g)
-	aFew := few.CredibleAreaDeg2(0.9)
-	aMany := many.CredibleAreaDeg2(0.9)
-	if aMany >= aFew {
-		t.Errorf("more rings did not shrink the 90%% area: %v vs %v deg²", aMany, aFew)
-	}
-}
-
-func TestPosteriorNormalized(t *testing.T) {
-	cfg := localize.DefaultConfig()
-	rng := xrand.New(4)
-	s := geom.Vec{Z: 1}
-	m := Likelihood(&cfg, ringsAround(s, 40, 0.02, rng), NewGrid(10))
-	post := m.Posterior()
-	var total float64
-	for _, p := range post {
-		if p < 0 {
-			t.Fatal("negative posterior")
-		}
-		total += p
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Errorf("posterior sums to %v", total)
-	}
-	// Credible regions nest: 50% ⊆ 90%.
-	r50 := len(m.CredibleRegion(0.5))
-	r90 := len(m.CredibleRegion(0.9))
-	if r50 > r90 {
-		t.Errorf("50%% region (%d px) larger than 90%% (%d px)", r50, r90)
-	}
-}
-
-func TestTemperedWidensRegions(t *testing.T) {
-	cfg := localize.DefaultConfig()
-	rng := xrand.New(5)
-	s := geom.FromSpherical(geom.Rad(25), geom.Rad(60))
-	m := Likelihood(&cfg, ringsAround(s, 100, 0.03, rng), NewGrid(20))
-	a1 := m.CredibleAreaDeg2(0.9)
-	a8 := m.Tempered(8).CredibleAreaDeg2(0.9)
-	if a8 <= a1 {
-		t.Errorf("tempering did not widen the region: %v vs %v", a8, a1)
-	}
-	// The peak does not move under tempering.
-	b1, _ := m.Best()
-	b8, _ := m.Tempered(8).Best()
-	if b1 != b8 {
-		t.Error("tempering moved the peak")
-	}
-}
-
-func TestTemperedEdgeCases(t *testing.T) {
-	cfg := localize.DefaultConfig()
-	rng := xrand.New(9)
-	s := geom.FromSpherical(geom.Rad(15), geom.Rad(200))
-	m := Likelihood(&cfg, ringsAround(s, 60, 0.04, rng), NewGrid(14))
-
-	// T = 1 is the exact identity: same log-likelihoods, same posterior.
-	t1 := m.Tempered(1)
-	for i := range m.LogL {
-		if t1.LogL[i] != m.LogL[i] {
-			t.Fatalf("Tempered(1) changed LogL[%d]: %v vs %v", i, t1.LogL[i], m.LogL[i])
-		}
-	}
-
-	// Tempering preserves the normalization invariant: the posterior of a
-	// tempered map still sums to 1 (it is a different distribution, not a
-	// rescaled one).
-	for _, temp := range []float64{1, 2, 8, 32} {
-		var total float64
-		for _, p := range m.Tempered(temp).Posterior() {
-			total += p
-		}
-		if math.Abs(total-1) > 1e-9 {
-			t.Errorf("Tempered(%v) posterior sums to %v", temp, total)
-		}
-	}
-
-	// Non-positive temperatures are a caller bug: panic, never silently
-	// substitute.
-	for _, temp := range []float64{0, -1, -0.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Tempered(%v) did not panic", temp)
-				}
-			}()
-			m.Tempered(temp)
-		}()
-	}
-}
-
-// TestCredibleAreaMonotone property-checks that the credible area never
-// shrinks as the requested probability level grows — the defining ordering
-// of nested credible regions.
-func TestCredibleAreaMonotone(t *testing.T) {
-	cfg := localize.DefaultConfig()
-	rng := xrand.New(10)
-	s := geom.FromSpherical(geom.Rad(40), geom.Rad(-60))
-	m := Likelihood(&cfg, ringsAround(s, 50, 0.08, rng), NewGrid(16))
-	f := func(a, b float64) bool {
-		// Map two arbitrary floats into (0, 1) levels with p1 <= p2.
-		p1 := math.Abs(math.Mod(a, 1))
-		p2 := math.Abs(math.Mod(b, 1))
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		return m.CredibleAreaDeg2(p1) <= m.CredibleAreaDeg2(p2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestCredibleRegionTieDeterminism pins the tie contract: when the
-// credible boundary falls inside a run of equal-probability pixels, the
-// region must include the lowest-indexed ones — a pure function of the
-// posterior, not of sort internals.
-func TestCredibleRegionTieDeterminism(t *testing.T) {
-	g := NewGrid(6)
-	// A perfectly flat map: every pixel ties. The posterior is then
-	// proportional to pixel solid angle, which is equal within each band,
-	// so ties abound at every boundary.
-	m := &Map{Grid: g, LogL: make([]float64, g.NumPixels())}
-	region := m.CredibleRegion(0.5)
-	again := m.CredibleRegion(0.5)
-	if len(region) != len(again) {
-		t.Fatalf("tie-broken region size changed: %d vs %d", len(region), len(again))
-	}
-	for i := range region {
-		if region[i] != again[i] {
-			t.Fatalf("tie-broken region differs at %d: %d vs %d", i, region[i], again[i])
-		}
-	}
-	// Among equal-probability pixels the lowest indices win. Pixels within
-	// one band have identical solid angle (hence identical posterior on a
-	// flat map); verify the selected set within each band is a prefix-free
-	// ordered choice: sorted region indices per band must be the smallest
-	// indices of that band that appear at all.
-	inRegion := make(map[int]bool, len(region))
-	for _, i := range region {
-		inRegion[i] = true
-	}
-	post := m.Posterior()
-	for _, i := range region {
-		for j := 0; j < i; j++ {
-			if post[j] == post[i] && !inRegion[j] {
-				t.Fatalf("pixel %d in region but equal-probability lower index %d is not", i, j)
-			}
-		}
+	eval := LikelihoodEvaluator(&cfg, ringsAround(s, 80, 0.02, rng))
+	if d := geom.Deg(geom.AngleBetween(peak(eval, NewGrid(16)), s)); d > 6 {
+		t.Errorf("likelihood peak %v° from the source", d)
 	}
 }
 
@@ -269,15 +114,13 @@ func TestMixtureLikelihoodDownweightsBackground(t *testing.T) {
 		}
 	}
 	g := NewGrid(16)
-	m := MixtureLikelihood(&cfg, rings, probs, g)
-	best, _ := m.Best()
+	best := peak(MixtureEvaluator(&cfg, rings, probs), g)
 	if d := geom.Deg(geom.AngleBetween(best, s)); d > 8 {
-		t.Errorf("mixture map peaked %v° from the source (decoy won)", d)
+		t.Errorf("mixture surface peaked %v° from the source (decoy won)", d)
 	}
 	// With no background weighting, the 3x larger decoy population wins.
 	zero := make([]float64, len(rings))
-	m0 := MixtureLikelihood(&cfg, rings, zero, g)
-	best0, _ := m0.Best()
+	best0 := peak(MixtureEvaluator(&cfg, rings, zero), g)
 	if d := geom.Deg(geom.AngleBetween(best0, decoy)); d > 8 {
 		t.Errorf("unweighted mixture should peak at the decoy; got %v° away", d)
 	}
@@ -287,5 +130,5 @@ func TestMixtureLikelihoodDownweightsBackground(t *testing.T) {
 			t.Error("bkgProb length mismatch did not panic")
 		}
 	}()
-	MixtureLikelihood(&cfg, rings, probs[:3], g)
+	MixtureEvaluator(&cfg, rings, probs[:3])
 }

@@ -4,8 +4,8 @@
 // concentrates), log-probability quantized to uint8/uint16 with a per-map
 // scale, and the tempered 68%/90% credible contours embedded in the
 // header. This is the product a GRB telemetry link actually carries —
-// compare the HEALPix maps attached to GCN notices — where internal/sky
-// holds the full-resolution float surface a ground analysis works with.
+// compare the HEALPix maps attached to GCN notices — sampled from the
+// likelihood surfaces of internal/sky.
 //
 // Determinism is the load-bearing contract: Build is a pure function of
 // (evaluator, options) at any worker count, and Encode is a pure function
@@ -43,8 +43,10 @@ const (
 	// quantization floor sits; density further down clips to the floor.
 	DefaultDynamicRange = 18.0
 	// DefaultTemperature is the empirically fitted posterior-tempering
-	// systematic inflation (see EXPERIMENTS.md "Credible-region coverage":
-	// analytic regions undercover, T=16 restores near-nominal coverage).
+	// systematic inflation. EXPERIMENTS.md "Credible-region coverage"
+	// measures it on this payload: untempered regions undercover, and the
+	// fit on both inference backends is T=16, whose maps cover 0.68 and
+	// 0.93 at the nominal 0.68 and 0.90.
 	DefaultTemperature = 16.0
 
 	// MaxCoarseBands and MaxRefineFactor bound what Decode accepts.
@@ -68,9 +70,9 @@ type Options struct {
 	// DynamicRange is the quantization depth in natural-log units below
 	// the peak.
 	DynamicRange float64
-	// Temperature divides the log-likelihood before quantization (the
-	// sky.Map.Tempered calibration); 0 means DefaultTemperature, 1 means
-	// the statistical-only map, and negative values panic.
+	// Temperature divides the log-likelihood before quantization
+	// (posterior tempering); 0 means DefaultTemperature, 1 means the
+	// statistical-only map, and negative values panic.
 	Temperature float64
 	// Workers caps evaluation parallelism (0 = process default, 1 =
 	// serial). The map is bitwise-identical for any value.

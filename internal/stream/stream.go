@@ -71,11 +71,10 @@ type Config struct {
 	Workers    int
 
 	// Backend selects the background-classifier inference implementation
-	// ("" = float32; int8 and fpga-sim need a quantized Bundle — callers
-	// should pre-validate with pipeline.NewClassifier, New panics on an
-	// invalid combination). The processor resolves the backend once at New,
-	// so a single classifier instance — and, for fpga-sim, a single
-	// simulated-cycle ledger — spans every fired window. Ignored when
+	// ("" = float32; int8 needs a quantized Bundle — callers should
+	// pre-validate with pipeline.NewClassifier, New panics on an invalid
+	// combination). The processor resolves the backend once at New, so a
+	// single classifier instance spans every fired window. Ignored when
 	// BkgOverride is set.
 	Backend pipeline.Backend
 
