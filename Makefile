@@ -99,7 +99,7 @@ downlink-smoke:
 	./scripts/downlink_smoke.sh
 
 ## fuzz-smoke: short native-fuzz runs of the untrusted-input decoders and
-## the int8 and float32 arithmetic kernels (CI)
+## the int8, float32 and localization-likelihood arithmetic kernels (CI)
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/evio
@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRequantize -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn/quant
 	$(GO) test -fuzz=FuzzDotInt8 -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn/quant
 	$(GO) test -fuzz=FuzzLinearForward -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn
+	$(GO) test -fuzz=FuzzLogLikelihoodPair -fuzztime=$(FUZZTIME) -run '^$$' ./internal/localize
 	$(GO) test -fuzz=FuzzSkymapDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/skymap
 	$(GO) test -fuzz=FuzzScenarioParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaos
 	$(GO) test -fuzz=FuzzChunkDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/downlink

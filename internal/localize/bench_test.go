@@ -1,6 +1,7 @@
 package localize
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -17,6 +18,13 @@ func benchWorkload() ([]*recon.Ring, geom.Vec) {
 	return rings, s
 }
 
+// Sinks keep the compiler from discarding the benchmarked calls.
+var (
+	seedSink   []geom.Vec
+	resultSink Result
+	floatSink  float64
+)
+
 func BenchmarkApproximate(b *testing.B) {
 	cfg := DefaultConfig()
 	rings, _ := benchWorkload()
@@ -24,20 +32,19 @@ func BenchmarkApproximate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Approximate(&cfg, rings, rng, 3)
+		seedSink = Approximate(&cfg, rings, rng, 3)
 	}
 }
 
 func BenchmarkRefine(b *testing.B) {
 	cfg := DefaultConfig()
-	rings, s := benchWorkload()
+	rings, _ := benchWorkload()
 	start := geom.FromSpherical(geom.Rad(28), geom.Rad(143))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Refine(&cfg, rings, start)
+		resultSink = Refine(&cfg, rings, start)
 	}
-	_ = s
 }
 
 func BenchmarkLocalize(b *testing.B) {
@@ -47,6 +54,28 @@ func BenchmarkLocalize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Localize(&cfg, rings, rng)
+		resultSink = Localize(&cfg, rings, rng)
+	}
+}
+
+// BenchmarkSurface scores a sky map's worth of directions against one ring
+// set, the shape of the no-ML sky-map build: 770 upper-hemisphere
+// directions (256 coarse pixels plus up to 512 fine ones) × 700 rings.
+func BenchmarkSurface(b *testing.B) {
+	cfg := DefaultConfig()
+	rng := xrand.New(3)
+	rings := syntheticRings(geom.FromSpherical(geom.Rad(25), geom.Rad(140)), 220, 0.02, 480, rng)
+	dirs := make([]geom.Vec, 770)
+	for i := range dirs {
+		x, y, z := rng.UnitVectorPolarRange(0, math.Pi/2)
+		dirs[i] = geom.Vec{X: x, Y: y, Z: z}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eval := Surface(&cfg, rings)
+		for _, d := range dirs {
+			floatSink += eval(d)
+		}
 	}
 }

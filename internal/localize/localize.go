@@ -99,10 +99,62 @@ func (r Result) ErrorDeg(truth geom.Vec) float64 {
 // LogLikelihood returns the joint robust log-likelihood of direction s given
 // the rings: Σ −min(pull², cap)/2. Higher is better.
 func LogLikelihood(cfg *Config, rings []*recon.Ring, s geom.Vec) float64 {
+	return newView(rings).logLik(cfg.RobustCap, s)
+}
+
+// Surface returns the rings' joint robust log-likelihood as a function of
+// direction, for scoring many directions against one ring set (a sky
+// map's pixels). It copies cfg.RobustCap and the rings' columns when
+// called; each evaluation equals LogLikelihood bit for bit.
+func Surface(cfg *Config, rings []*recon.Ring) func(geom.Vec) float64 {
+	v, robustCap := newView(rings), cfg.RobustCap
+	return func(s geom.Vec) float64 { return v.logLik(robustCap, s) }
+}
+
+// view is the columnar form of a ring set: the ring axis, η and dη as
+// contiguous float64 columns, nothing else. Scoring, gating, least squares
+// and the error radius read only these five numbers per ring, so one view
+// built per call keeps them in cache where the ring structs (hits and
+// ground truth included) would not.
+type view struct {
+	x, y, z, eta, deta []float64
+}
+
+func newView(rings []*recon.Ring) *view {
+	n := len(rings)
+	cols := make([]float64, 5*n)
+	v := &view{
+		x:    cols[0*n : 1*n : 1*n],
+		y:    cols[1*n : 2*n : 2*n],
+		z:    cols[2*n : 3*n : 3*n],
+		eta:  cols[3*n : 4*n : 4*n],
+		deta: cols[4*n : 5*n : 5*n],
+	}
+	for i, r := range rings {
+		v.x[i], v.y[i], v.z[i] = r.Axis.X, r.Axis.Y, r.Axis.Z
+		v.eta[i], v.deta[i] = r.Eta, r.DEta
+	}
+	return v
+}
+
+// ring returns ring i's geometry.
+func (v *view) ring(i int) geom.Ring {
+	return geom.Ring{Axis: geom.Vec{X: v.x[i], Y: v.y[i], Z: v.z[i]}, Eta: v.eta[i], DEta: v.deta[i]}
+}
+
+// residual is geom.Ring.Residual for ring i: s·c − η, summed in Dot's order.
+func (v *view) residual(i int, s geom.Vec) float64 {
+	return s.X*v.x[i] + s.Y*v.y[i] + s.Z*v.z[i] - v.eta[i]
+}
+
+// logLik is the scalar scoring loop: Σ −min(pull², robustCap)/2 in ring
+// order. It is the portable path and the reference the amd64 kernel in
+// logLikPair reproduces bit for bit.
+func (v *view) logLik(robustCap float64, s geom.Vec) float64 {
 	var ll float64
-	for _, r := range rings {
-		p := r.Pull(s)
-		ll -= math.Min(p*p, cfg.RobustCap) / 2
+	for i := range v.eta {
+		p := v.residual(i, s) / v.deta[i]
+		ll -= math.Min(p*p, robustCap) / 2
 	}
 	return ll
 }
@@ -117,16 +169,17 @@ func LogLikelihood(cfg *Config, rings []*recon.Ring, s geom.Vec) float64 {
 // likely final answer is what makes the stage robust when most rings are
 // background.
 func Approximate(cfg *Config, rings []*recon.Ring, rng *xrand.RNG, maxSeeds int) []geom.Vec {
-	if len(rings) == 0 || maxSeeds < 1 {
+	return newView(rings).approximate(cfg, rng, maxSeeds)
+}
+
+func (v *view) approximate(cfg *Config, rng *xrand.RNG, maxSeeds int) []geom.Vec {
+	n := len(v.eta)
+	if n == 0 || maxSeeds < 1 {
 		return nil
 	}
 	nSample := cfg.SampleRings
-	if nSample > len(rings) {
-		nSample = len(rings)
-	}
-	sample := make([]*recon.Ring, 0, nSample)
-	for _, i := range rng.Perm(len(rings))[:nSample] {
-		sample = append(sample, rings[i])
+	if nSample > n {
+		nSample = n
 	}
 
 	// Collect the candidate grid first (the RNG stream must stay serial),
@@ -134,14 +187,10 @@ func Approximate(cfg *Config, rings []*recon.Ring, rng *xrand.RNG, maxSeeds int)
 	// over all rings is independent, and this candidate × ring loop is the
 	// localization hot spot. Scores land in fixed index slots, so the
 	// parallel path is bitwise-identical to the serial one.
-	type scored struct {
-		dir geom.Vec
-		ll  float64
-	}
 	var cands []scored
 	buf := make([]geom.Vec, 0, cfg.CandidatesPerRing)
-	for _, r := range sample {
-		buf = r.Points(buf[:0], cfg.CandidatesPerRing, rng.Uniform(0, 2*math.Pi))
+	for _, i := range rng.Perm(n)[:nSample] {
+		buf = v.ring(i).Points(buf[:0], cfg.CandidatesPerRing, rng.Uniform(0, 2*math.Pi))
 		for _, cand := range buf {
 			if cfg.SkyOnly && cand.Z < -0.05 {
 				continue
@@ -150,9 +199,7 @@ func Approximate(cfg *Config, rings []*recon.Ring, rng *xrand.RNG, maxSeeds int)
 		}
 	}
 	par.NewPool(cfg.Workers).ForRange(context.Background(), len(cands), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cands[i].ll = LogLikelihood(cfg, rings, cands[i].dir)
-		}
+		v.score(cfg.RobustCap, cands[lo:hi])
 	})
 	sort.Slice(cands, func(i, j int) bool { return cands[i].ll > cands[j].ll })
 
@@ -178,19 +225,43 @@ func Approximate(cfg *Config, rings []*recon.Ring, rng *xrand.RNG, maxSeeds int)
 	return seeds
 }
 
+// scored is an approximation candidate and its joint log-likelihood.
+type scored struct {
+	dir geom.Vec
+	ll  float64
+}
+
+// score sets every candidate's ll, two candidates per logLikPair call; an
+// odd last candidate takes the scalar loop. A score does not depend on its
+// partner, so any split of the candidates gives the same scores.
+func (v *view) score(robustCap float64, cands []scored) {
+	i := 0
+	for ; i+1 < len(cands); i += 2 {
+		cands[i].ll, cands[i+1].ll = v.logLikPair(robustCap, cands[i].dir, cands[i+1].dir)
+	}
+	if i < len(cands) {
+		cands[i].ll = v.logLik(robustCap, cands[i].dir)
+	}
+}
+
 // Refine improves an initial direction by iteratively-gated weighted least
 // squares (the paper's "almost-linear least-squares" refinement).
 func Refine(cfg *Config, rings []*recon.Ring, s0 geom.Vec) Result {
-	if len(rings) == 0 {
+	return newView(rings).refine(cfg, s0)
+}
+
+func (v *view) refine(cfg *Config, s0 geom.Vec) Result {
+	if len(v.eta) == 0 {
 		return Result{}
 	}
 	s := s0.Unit()
 	res := Result{Dir: s, OK: true}
+	gated := make([]int, 0, len(v.eta))
 	for it := 0; it < cfg.MaxIters; it++ {
 		res.Iterations = it + 1
-		gated, used := gate(cfg, rings, s)
-		res.RingsUsed = used
-		next, ok := solveLSQ(gated, s)
+		gated = v.gate(cfg, s, gated)
+		res.RingsUsed = len(gated)
+		next, ok := v.solveLSQ(gated, s)
 		if !ok {
 			break
 		}
@@ -222,18 +293,19 @@ func Refine(cfg *Config, rings []*recon.Ring, s0 geom.Vec) Result {
 // flight system would downlink as its own error estimate, since ground
 // truth is unavailable in flight.
 func ErrorRadiusDeg(cfg *Config, rings []*recon.Ring, s geom.Vec) float64 {
-	gated, _ := gate(cfg, rings, s)
+	v := newView(rings)
+	gated := v.gate(cfg, s, nil)
 	if len(gated) == 0 {
 		return 180
 	}
 	u, w := geom.OrthoBasis(s)
 	var h00, h01, h11 float64
-	for _, r := range gated {
+	for _, i := range gated {
 		// d(s·c)/dt along tangent direction t is t·c; information adds
 		// (t·c)(t'·c)/dη².
-		cu := r.Axis.Dot(u)
-		cw := r.Axis.Dot(w)
-		wgt := 1 / (r.DEta * r.DEta)
+		cu := v.x[i]*u.X + v.y[i]*u.Y + v.z[i]*u.Z
+		cw := v.x[i]*w.X + v.y[i]*w.Y + v.z[i]*w.Z
+		wgt := 1 / (v.deta[i] * v.deta[i])
 		h00 += wgt * cu * cu
 		h01 += wgt * cu * cw
 		h11 += wgt * cw * cw
@@ -252,16 +324,17 @@ func ErrorRadiusDeg(cfg *Config, rings []*recon.Ring, s geom.Vec) float64 {
 // best-scoring well-separated seeds from the approximation stage and keeps
 // the refined direction with the highest joint likelihood.
 func Localize(cfg *Config, rings []*recon.Ring, rng *xrand.RNG) Result {
-	seeds := Approximate(cfg, rings, rng, 3)
+	v := newView(rings)
+	seeds := v.approximate(cfg, rng, 3)
 	if len(seeds) == 0 {
 		return Result{}
 	}
-	// Refine every seed concurrently (each reads the shared rings and
+	// Refine every seed concurrently (each reads the shared view and
 	// mutates nothing), then pick the winner in seed order so ties break
 	// exactly as the serial loop did.
 	refined := make([]Result, len(seeds))
 	par.NewPool(cfg.Workers).ForEach(context.Background(), len(seeds), func(i int) {
-		refined[i] = Refine(cfg, rings, seeds[i])
+		refined[i] = v.refine(cfg, seeds[i])
 	})
 	best := math.Inf(-1)
 	var bestRes Result
@@ -269,58 +342,64 @@ func Localize(cfg *Config, rings []*recon.Ring, rng *xrand.RNG) Result {
 		if !res.OK {
 			continue
 		}
-		if ll := LogLikelihood(cfg, rings, res.Dir); ll > best {
+		if ll := v.logLik(cfg.RobustCap, res.Dir); ll > best {
 			best, bestRes = ll, res
 		}
 	}
 	return bestRes
 }
 
-// gate returns the rings within GateSigma ring widths (capped at MaxGateCos
-// in cosine space) of s, widening the gate when fewer than MinRings survive.
-func gate(cfg *Config, rings []*recon.Ring, s geom.Vec) ([]*recon.Ring, int) {
+// gate returns, in ring order, the indices of the rings within GateSigma
+// ring widths (capped at MaxGateCos in cosine space) of s, widening the gate
+// when fewer than MinRings survive and falling back to every ring. It
+// reuses out's storage.
+func (v *view) gate(cfg *Config, s geom.Vec, out []int) []int {
 	k := cfg.GateSigma
 	cap := cfg.MaxGateCos
 	if cap <= 0 {
 		cap = math.Inf(1)
 	}
 	for widen := 0; widen < 3; widen++ {
-		var out []*recon.Ring
-		for _, r := range rings {
-			w := k * r.DEta
+		out = out[:0]
+		for i, deta := range v.deta {
+			w := k * deta
 			if w > cap {
 				w = cap
 			}
-			if math.Abs(r.Residual(s)) <= w {
-				out = append(out, r)
+			if math.Abs(v.residual(i, s)) <= w {
+				out = append(out, i)
 			}
 		}
 		if len(out) >= cfg.MinRings {
-			return out, len(out)
+			return out
 		}
 		k *= 2
 		cap *= 2
 	}
-	return rings, len(rings)
+	out = out[:0]
+	for i := range v.deta {
+		out = append(out, i)
+	}
+	return out
 }
 
-// solveLSQ solves min_s Σ wᵢ(s·cᵢ − ηᵢ)² via the 3×3 normal equations and
-// renormalizes. prev seeds the Tikhonov fallback when the system is nearly
-// singular (all ring axes parallel).
-func solveLSQ(rings []*recon.Ring, prev geom.Vec) (geom.Vec, bool) {
-	if len(rings) == 0 {
+// solveLSQ solves min_s Σ wᵢ(s·cᵢ − ηᵢ)² over the gated rings, in order,
+// via the 3×3 normal equations and renormalizes. prev seeds the Tikhonov
+// fallback when the system is nearly singular (all ring axes parallel).
+func (v *view) solveLSQ(gated []int, prev geom.Vec) (geom.Vec, bool) {
+	if len(gated) == 0 {
 		return geom.Vec{}, false
 	}
 	var m [3][3]float64
 	var b [3]float64
-	for _, r := range rings {
-		w := 1 / (r.DEta * r.DEta)
-		c := [3]float64{r.Axis.X, r.Axis.Y, r.Axis.Z}
+	for _, r := range gated {
+		w := 1 / (v.deta[r] * v.deta[r])
+		c := [3]float64{v.x[r], v.y[r], v.z[r]}
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 3; j++ {
 				m[i][j] += w * c[i] * c[j]
 			}
-			b[i] += w * r.Eta * c[i]
+			b[i] += w * v.eta[r] * c[i]
 		}
 	}
 	// Tikhonov regularization toward the previous estimate stabilizes the
@@ -335,11 +414,11 @@ func solveLSQ(rings []*recon.Ring, prev geom.Vec) (geom.Vec, bool) {
 	if !ok {
 		return geom.Vec{}, false
 	}
-	v := geom.Vec{X: x[0], Y: x[1], Z: x[2]}
-	if v.Norm() == 0 {
+	s := geom.Vec{X: x[0], Y: x[1], Z: x[2]}
+	if s.Norm() == 0 {
 		return geom.Vec{}, false
 	}
-	return v.Unit(), true
+	return s.Unit(), true
 }
 
 // solve3 solves a 3×3 linear system by Gaussian elimination with partial

@@ -153,8 +153,7 @@ func TestGateWidensWhenStarved(t *testing.T) {
 			Ring: geom.Ring{Axis: geom.Vec{X: x, Y: y, Z: z}, Eta: -0.9, DEta: 0.01},
 		})
 	}
-	got, n := gate(&cfg, rings, s)
-	if n == 0 || len(got) == 0 {
+	if got := newView(rings).gate(&cfg, s, nil); len(got) == 0 {
 		t.Error("gate returned nothing even after widening")
 	}
 }

@@ -104,11 +104,10 @@ func (g *Grid) PixelSr(i int) float64 {
 
 // LikelihoodEvaluator returns the rings' joint robust log-likelihood as a
 // function of direction — the continuous surface that internal/skymap
-// samples adaptively into the hierarchical payload.
+// samples adaptively into the hierarchical payload. It is localize.Surface:
+// the rings are copied into columns once per map, not read per pixel.
 func LikelihoodEvaluator(cfg *localize.Config, rings []*recon.Ring) func(geom.Vec) float64 {
-	return func(d geom.Vec) float64 {
-		return localize.LogLikelihood(cfg, rings, d)
-	}
+	return localize.Surface(cfg, rings)
 }
 
 // MixtureEvaluator returns a background-aware joint log-likelihood as a

@@ -219,7 +219,6 @@ func Decode(b []byte) (*Map, error) {
 	nCoarse, _ := c.u32()
 	nTiles, _ := c.u32()
 	coarse := sky.NewGrid(m.CoarseBands)
-	fine := sky.NewGrid(m.CoarseBands * m.RefineFactor)
 	if int(nCoarse) != coarse.NumPixels() {
 		return nil, fmt.Errorf("skymap: coarse count %d, grid has %d pixels", nCoarse, coarse.NumPixels())
 	}
@@ -231,7 +230,8 @@ func Decode(b []byte) (*Map, error) {
 		return nil, err
 	}
 	m.Coarse = append([]uint8(nil), raw...)
-	members := tileMembers(coarse, fine)
+	m.setGrids()
+	members := m.members
 	prev := -1
 	for t := 0; t < int(nTiles); t++ {
 		ci, err := c.u32()

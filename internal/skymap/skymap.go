@@ -155,19 +155,27 @@ type Map struct {
 	// Tiles are the refined coarse pixels, ascending by Coarse index.
 	Tiles []Tile
 
-	// Derived lookup state (rebuilt by finish, never serialized).
+	// Derived lookup state (built by setGrids and finish, never
+	// serialized).
 	coarse, fine *sky.Grid
+	members      [][]int // tile membership: see tileMembers
 	fineVal      map[int]uint16
 }
 
-// finish (re)builds the derived grids and the fine-pixel lookup.
-func (m *Map) finish() {
+// setGrids builds the two grids of the map's geometry and the tile
+// membership table that Build, Decode and the contours share.
+func (m *Map) setGrids() {
 	m.coarse = sky.NewGrid(m.CoarseBands)
 	m.fine = sky.NewGrid(m.CoarseBands * m.RefineFactor)
-	members := tileMembers(m.coarse, m.fine)
+	m.members = tileMembers(m.coarse, m.fine)
+}
+
+// finish builds the fine-pixel lookup from the tiles; setGrids must have
+// run.
+func (m *Map) finish() {
 	m.fineVal = make(map[int]uint16)
 	for _, t := range m.Tiles {
-		for k, j := range members[t.Coarse] {
+		for k, j := range m.members[t.Coarse] {
 			if k < len(t.Values) {
 				m.fineVal[j] = t.Values[k]
 			}
@@ -178,8 +186,8 @@ func (m *Map) finish() {
 // tileMembers assigns every fine pixel to the coarse pixel containing its
 // center: members[c] lists c's fine pixels in ascending fine-index order.
 // The assignment is a pure function of the two grids.
-func tileMembers(coarse, fine *sky.Grid) map[int][]int {
-	members := make(map[int][]int, coarse.NumPixels())
+func tileMembers(coarse, fine *sky.Grid) [][]int {
+	members := make([][]int, coarse.NumPixels())
 	for j := 0; j < fine.NumPixels(); j++ {
 		c := coarse.Find(fine.Dir(j))
 		members[c] = append(members[c], j)
@@ -220,8 +228,15 @@ func dequantize(q, qmax int, floor float64) float64 {
 // opts) — identical at any Workers value.
 func Build(eval func(geom.Vec) float64, opts Options) *Map {
 	opts = opts.withDefaults()
-	coarse := sky.NewGrid(opts.CoarseBands)
-	fine := sky.NewGrid(opts.CoarseBands * opts.RefineFactor)
+	floor := -opts.DynamicRange
+	m := &Map{
+		CoarseBands:  opts.CoarseBands,
+		RefineFactor: opts.RefineFactor,
+		Temperature:  float32(opts.Temperature),
+		LogFloor:     float32(floor),
+	}
+	m.setGrids()
+	coarse, fine := m.coarse, m.fine
 	pool := par.NewPool(opts.Workers)
 	temp := opts.Temperature
 
@@ -283,7 +298,7 @@ func Build(eval func(geom.Vec) float64, opts Options) *Map {
 	sort.Ints(refined)
 
 	// Fine layer: evaluate only the member pixels of refined tiles.
-	members := tileMembers(coarse, fine)
+	members := m.members
 	var fineIdx []int
 	for _, c := range refined {
 		fineIdx = append(fineIdx, members[c]...)
@@ -318,14 +333,7 @@ func Build(eval func(geom.Vec) float64, opts Options) *Map {
 	}
 
 	// Quantize both layers relative to the peak.
-	floor := -opts.DynamicRange
-	m := &Map{
-		CoarseBands:  opts.CoarseBands,
-		RefineFactor: opts.RefineFactor,
-		Temperature:  float32(temp),
-		LogFloor:     float32(floor),
-		Coarse:       make([]uint8, len(cl)),
-	}
+	m.Coarse = make([]uint8, len(cl))
 	for i, v := range cl {
 		m.Coarse[i] = uint8(quantize(v-peak, floor, 255))
 	}
@@ -351,10 +359,9 @@ func Build(eval func(geom.Vec) float64, opts Options) *Map {
 
 	// Embed the tempered credible contours, computed from the *quantized*
 	// data so the decoder reproduces them exactly.
-	thr68, area68 := m.contour(0.68)
-	thr90, area90 := m.contour(0.90)
-	m.Thr68, m.Area68 = float32(thr68), float32(area68)
-	m.Thr90, m.Area90 = float32(thr90), float32(area90)
+	thr, area := m.contours(0.68, 0.90)
+	m.Thr68, m.Area68 = float32(thr[0]), float32(area[0])
+	m.Thr90, m.Area90 = float32(thr[1]), float32(area[1])
 	return m
 }
 
@@ -396,9 +403,8 @@ func (m *Map) cells() []cell {
 		}
 		out = append(out, cell{logd: dequantize(int(q), 255, floor), sr: m.coarse.PixelSr(i), idx: i})
 	}
-	members := tileMembers(m.coarse, m.fine)
 	for _, t := range m.Tiles {
-		mem := members[t.Coarse]
+		mem := m.members[t.Coarse]
 		for k, q := range t.Values {
 			out = append(out, cell{logd: dequantize(int(q), 65535, floor), sr: m.fine.PixelSr(mem[k]), fine: true, idx: mem[k]})
 		}
@@ -408,12 +414,13 @@ func (m *Map) cells() []cell {
 
 const deg2PerSr = (180 / math.Pi) * (180 / math.Pi)
 
-// contour computes the highest-posterior-density credible contour at level
-// p from the quantized data: cells are ranked by density (ties: fine
-// before coarse, then pixel index) and accumulated until their posterior
-// mass reaches p. It returns the relative log-density threshold of the
-// last included cell and the included area in square degrees.
-func (m *Map) contour(p float64) (thr float64, areaDeg2 float64) {
+// contours computes the highest-posterior-density credible contour at each
+// level from the quantized data: cells are ranked once by density (ties:
+// fine before coarse, then pixel index), and for each level p accumulated
+// until their posterior mass reaches p. thr[k] is the relative log-density
+// threshold of the last cell included at levels[k], areaDeg2[k] the
+// included area in square degrees.
+func (m *Map) contours(levels ...float64) (thr, areaDeg2 []float64) {
 	cs := m.cells()
 	sort.Slice(cs, func(a, b int) bool {
 		if cs[a].logd != cs[b].logd {
@@ -424,29 +431,34 @@ func (m *Map) contour(p float64) (thr float64, areaDeg2 float64) {
 		}
 		return cs[a].idx < cs[b].idx
 	})
+	mass := make([]float64, len(cs))
 	var total float64
-	for _, c := range cs {
-		total += math.Exp(c.logd) * c.sr
+	for i, c := range cs {
+		mass[i] = math.Exp(c.logd) * c.sr
+		total += mass[i]
 	}
-	var acc, sr float64
-	thr = 0
-	for _, c := range cs {
-		acc += math.Exp(c.logd) * c.sr
-		sr += c.sr
-		thr = c.logd
-		if acc >= p*total {
-			break
+	for _, p := range levels {
+		var acc, sr, t float64
+		for i, c := range cs {
+			acc += mass[i]
+			sr += c.sr
+			t = c.logd
+			if acc >= p*total {
+				break
+			}
 		}
+		thr = append(thr, t)
+		areaDeg2 = append(areaDeg2, sr*deg2PerSr)
 	}
-	return thr, sr * deg2PerSr
+	return thr, areaDeg2
 }
 
 // CredibleAreaDeg2 returns the area of the p credible region in square
 // degrees, recomputed from the quantized payload (for p = 0.68 / 0.90 it
 // equals the embedded Area68/Area90 by construction).
 func (m *Map) CredibleAreaDeg2(p float64) float64 {
-	_, area := m.contour(p)
-	return area
+	_, area := m.contours(p)
+	return area[0]
 }
 
 // LogDensity returns the relative log posterior density (≤ 0, peak = 0)
@@ -461,8 +473,8 @@ func (m *Map) LogDensity(d geom.Vec) float64 {
 
 // Contains reports whether direction d lies inside the p credible region.
 func (m *Map) Contains(d geom.Vec, p float64) bool {
-	thr, _ := m.contour(p)
-	return m.LogDensity(d) >= thr
+	thr, _ := m.contours(p)
+	return m.LogDensity(d) >= thr[0]
 }
 
 // Peak returns the map's maximum-density direction.

@@ -95,8 +95,10 @@ func TestEmbeddedContoursMatchRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thr68, area68 := d.contour(0.68)
-	thr90, area90 := d.contour(0.90)
+	thr, area := d.contours(0.68)
+	thr68, area68 := thr[0], area[0]
+	thr, area = d.contours(0.90)
+	thr90, area90 := thr[0], area[0]
 	if float32(thr68) != d.Thr68 || float32(area68) != d.Area68 {
 		t.Errorf("68%% contour: recomputed (%v, %v), embedded (%v, %v)", thr68, area68, d.Thr68, d.Area68)
 	}
@@ -184,9 +186,8 @@ func TestCredibleRegionsNest(t *testing.T) {
 		if p1 > p2 {
 			p1, p2 = p2, p1
 		}
-		thr1, _ := m.contour(p1)
-		thr2, _ := m.contour(p2)
-		return thr1 >= thr2
+		thr, _ := m.contours(p1, p2)
+		return thr[0] >= thr[1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
