@@ -99,7 +99,8 @@ downlink-smoke:
 	./scripts/downlink_smoke.sh
 
 ## fuzz-smoke: short native-fuzz runs of the untrusted-input decoders and
-## the int8, float32 and localization-likelihood arithmetic kernels (CI)
+## the int8, float32, localization-likelihood and sky-map mixture
+## arithmetic kernels (CI)
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/evio
@@ -110,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDotInt8 -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn/quant
 	$(GO) test -fuzz=FuzzLinearForward -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn
 	$(GO) test -fuzz=FuzzLogLikelihoodPair -fuzztime=$(FUZZTIME) -run '^$$' ./internal/localize
+	$(GO) test -fuzz=FuzzMixtureQuad -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sky
 	$(GO) test -fuzz=FuzzSkymapDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/skymap
 	$(GO) test -fuzz=FuzzScenarioParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaos
 	$(GO) test -fuzz=FuzzChunkDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/downlink

@@ -11,6 +11,7 @@ package repro
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"testing"
 
@@ -351,20 +352,39 @@ func BenchmarkAblationDEtaLoss(b *testing.B) {
 	}
 }
 
+// skymapSink keeps the compiler from discarding benchmarked map builds.
+var skymapSink *skymap.Map
+
 // BenchmarkSkymapBuild measures downlink-map construction (hierarchical
 // evaluation, refinement selection, quantization, embedded contours) from
-// the benchmark scene's rings at several worker counts. The output is
-// bitwise-identical at every worker count (skymap.TestWorkerCountInvariance).
+// the benchmark scene's rings at several worker counts: the background-
+// aware mixture map that flies with every alert, weighted by seeded
+// classifier-like probabilities (low for burst rings, high for background
+// rings), and the no-ML likelihood map. The output is bitwise-identical at
+// every worker count (skymap.TestWorkerCountInvariance).
 func BenchmarkSkymapBuild(b *testing.B) {
 	_, rings := benchScene()
 	cfg := localize.DefaultConfig()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				skymap.FromRings(&cfg, rings, nil, skymap.Options{Workers: workers})
-			}
-		})
+	rng := xrand.New(0x5CA7)
+	probs := make([]float64, len(rings))
+	for i, r := range rings {
+		probs[i] = 0.3 * math.Pow(rng.Float64(), 3)
+		if r.Background {
+			probs[i] = 1 - 0.5*math.Pow(rng.Float64(), 2)
+		}
+	}
+	for _, surface := range []struct {
+		name  string
+		probs []float64
+	}{{"mixture", probs}, {"noml", nil}} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers=%d", surface.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					skymapSink = skymap.FromRings(&cfg, rings, surface.probs, skymap.Options{Workers: workers})
+				}
+			})
+		}
 	}
 }
 

@@ -70,12 +70,11 @@ func BenchmarkSurface(b *testing.B) {
 		x, y, z := rng.UnitVectorPolarRange(0, math.Pi/2)
 		dirs[i] = geom.Vec{X: x, Y: y, Z: z}
 	}
+	out := make([]float64, len(dirs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eval := Surface(&cfg, rings)
-		for _, d := range dirs {
-			floatSink += eval(d)
-		}
+		Surface(&cfg, rings)(dirs, out)
+		floatSink += out[0]
 	}
 }

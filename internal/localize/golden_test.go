@@ -84,12 +84,24 @@ func goldenLines() []string {
 		}
 		add("%s radius %s", c.name, hexf(radius...))
 		add("%s loglik %s", c.name, hexf(loglik...))
+		// The surface scores an even batch in pairs and an odd batch's
+		// last direction through the scalar loop.
 		eval := sky.LikelihoodEvaluator(&cfg, c.rings)
-		var px []float64
-		for _, i := range []int{0, 5, 37, 101, 200, grid.NumPixels() - 1} {
-			px = append(px, eval(grid.Dir(i)))
+		for _, b := range []struct {
+			name string
+			pix  []int
+		}{
+			{"surface", []int{0, 5, 37, 101, 200, grid.NumPixels() - 1}},
+			{"surface-odd", []int{1, 2, 64, 150, 230}},
+		} {
+			dirs := make([]geom.Vec, len(b.pix))
+			for k, i := range b.pix {
+				dirs[k] = grid.Dir(i)
+			}
+			px := make([]float64, len(dirs))
+			eval(dirs, px)
+			add("%s %s %s", c.name, b.name, hexf(px...))
 		}
-		add("%s surface %s", c.name, hexf(px...))
 	}
 	return out
 }
@@ -122,6 +134,7 @@ clean refine bfb3a4dd597d0ef7 3fdaa46b674de54e 3fecfddf40b4d632 used=79 iters=4 
 clean radius 3fbc10d81366a0cb 3fbc10d81366a0de 3fd583f499c09595 3fbbf76e2d2e0957 3fd328ec24ff528f 3fd49fefeb0754c4
 clean loglik c047247c7e5eb0be c047247c7e5eb156 c072d7208f79f65c c048a60b0ee2fb2a c071626d0288d49b c0717e3e46703bf5
 clean surface c075026d45473469 c075e6079ebd9680 c075a1cbbd6a48a2 c075d9d1687d7c80 c076514ae3eca740 c076800000000000
+clean surface-odd c074fc1df3feda41 c0755e5814359fb6 c0764f0c08a84460 c0762939bf6e885f c07613276468c531
 mix approx[0] bfd55d8695260335 3fcff146fd6c8086 3fed1685b6896462
 mix approx[1] bfddcd67858feea0 3fccf87664d61548 3feb6081b8811cd7
 mix approx[2] bfcbb2a914ffc0c8 3fc9f252af0bcaf3 3fee8f9e21c79d09
@@ -130,6 +143,7 @@ mix refine bfd473a46ee211c6 3fd17d58487944a3 3fed08a54cc698dc used=210 iters=5 c
 mix radius 3fc1d2e3e0556cc4 3fc1d2e3e0556cc4 3fc30d2512679563 3fc211c94d9e7cc1 3fcc7a715bea0c21 3fcb4d9abe3334f7
 mix loglik c09e4d639041b4ba c09e4d639041b4ba c0a0a2f6f75c4281 c09f1b3779f6b073 c0a2ca8288ec945b c0a2eb196423227f
 mix surface c0a461dc5b15d12f c0a46ed47147e152 c0a4a17af8d9cd48 c0a421dfc0efadf5 c0a4af217f379fae c0a4af6357e637be
+mix surface-odd c0a43a1bd89f536a c0a461fb139910e6 c0a46031eeba5cb2 c0a46e846040b2d1 c0a4586821472594
 starved approx[0] 3fd39130d51b9d6e bfc6da0fccfa3af8 3feded64238b02d1
 starved approx[1] 3fd32215360ed2df bfd98efaf0bf0f3e 3febbbe361415847
 starved approx[2] 3fd3212048319a09 bfd1eee24ae920a3 3fed30e85d5cabc0
@@ -138,6 +152,7 @@ starved refine 3fd36580c157bdc4 bfc5a1367388126c 3fee030069e8fb9c used=12 iters=
 starved radius 3fd2eb7865633c53 3fd2eb7865636cb2 3fd337bc7c983892 3fd2eebede97c112 3fe13805969b1f7b 3fe2f92fbf3abb27
 starved loglik c00775d06de654a3 c00775d06e0b0906 c04a075331dc7b17 c011f7a98dbf9ffa c0421ca83d340ba0 c042936e293363b3
 starved surface c0468ccf1815a1e6 c047c51d3bdfb0de c04b000000000000 c04b000000000000 c049bdca2eb9b2c8 c04a7764b8057080
+starved surface-odd c04b000000000000 c04b000000000000 c04b000000000000 c04b000000000000 c04b000000000000
 horizon approx[0] 3fee87911b5990fa 3fc1f9b7abff6820 3fd0f0f41b108921
 horizon approx[1] 3feb278bb409c448 3fe0e899944f16a1 bf9b6a114a997181
 horizon approx[2] 3fecd6d55ebd0a45 bfc3ad3ed8a973a3 3fd9ee4db9a686e8
@@ -146,4 +161,5 @@ horizon refine 3fefffe725b2737d bf73f0e23f25c949 0000000000000000 used=6 iters=3
 horizon radius 3fe38e3c70ceb94b 3fe38e3c70ceb96a 3fe38d31474ad31e 3fe013c8f8a42c1d 3fe0c53600900ede 3fe02c4f9c076811
 horizon loglik c06ff820a2b3dc08 c06ff820a2b3def8 c07049b3b0eeb554 c06e88198084a035 c06e8e7dc24dd6a9 c06ecd2e231f5732
 horizon surface c070b06be1b035f0 c070e00000000000 c070e00000000000 c0709ec4a06721b9 c07074d0aec1507a c070e00000000000
+horizon surface-odd c070a7cf475d5c4c c070aca367f31184 c070e00000000000 c070e00000000000 c0709957f5c1e6a9
 `

@@ -102,13 +102,25 @@ func LogLikelihood(cfg *Config, rings []*recon.Ring, s geom.Vec) float64 {
 	return newView(rings).logLik(cfg.RobustCap, s)
 }
 
-// Surface returns the rings' joint robust log-likelihood as a function of
-// direction, for scoring many directions against one ring set (a sky
-// map's pixels). It copies cfg.RobustCap and the rings' columns when
-// called; each evaluation equals LogLikelihood bit for bit.
-func Surface(cfg *Config, rings []*recon.Ring) func(geom.Vec) float64 {
+// Surface returns the rings' joint robust log-likelihood as a batch
+// function of direction, for scoring many directions against one ring set
+// (a sky map's pixels): eval(dirs, out) sets out[i] to the score of
+// dirs[i], two directions per logLikPair call and an odd last one through
+// the scalar loop. It copies cfg.RobustCap and the rings' columns when
+// called; each score equals LogLikelihood bit for bit, whatever it is
+// batched with.
+func Surface(cfg *Config, rings []*recon.Ring) func(dirs []geom.Vec, out []float64) {
 	v, robustCap := newView(rings), cfg.RobustCap
-	return func(s geom.Vec) float64 { return v.logLik(robustCap, s) }
+	return func(dirs []geom.Vec, out []float64) {
+		out = out[:len(dirs)]
+		i := 0
+		for ; i+1 < len(dirs); i += 2 {
+			out[i], out[i+1] = v.logLikPair(robustCap, dirs[i], dirs[i+1])
+		}
+		if i < len(dirs) {
+			out[i] = v.logLik(robustCap, dirs[i])
+		}
+	}
 }
 
 // view is the columnar form of a ring set: the ring axis, η and dη as

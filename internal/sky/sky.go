@@ -103,39 +103,87 @@ func (g *Grid) PixelSr(i int) float64 {
 }
 
 // LikelihoodEvaluator returns the rings' joint robust log-likelihood as a
-// function of direction — the continuous surface that internal/skymap
-// samples adaptively into the hierarchical payload. It is localize.Surface:
-// the rings are copied into columns once per map, not read per pixel.
-func LikelihoodEvaluator(cfg *localize.Config, rings []*recon.Ring) func(geom.Vec) float64 {
+// batch function of direction — the continuous surface that
+// internal/skymap samples adaptively into the hierarchical payload. It is
+// localize.Surface: the rings are copied into columns once per map, and
+// directions are scored two at a time by localize's pair kernel.
+func LikelihoodEvaluator(cfg *localize.Config, rings []*recon.Ring) func(dirs []geom.Vec, out []float64) {
 	return localize.Surface(cfg, rings)
 }
 
 // MixtureEvaluator returns a background-aware joint log-likelihood as a
-// function of direction: each ring contributes
+// batch function of direction: eval(dirs, out) sets out[i] to the value at
+// dirs[i], to which each ring contributes
 // ln[(1−pᵢ)·exp(−pull²/2) + pᵢ·floor], where pᵢ is the ring's background
 // probability (e.g. from the background network) and
 // floor = exp(−RobustCap/2) is the density a background ring contributes
 // anywhere on the sky. With pᵢ = 0 for all rings this reduces to a
 // softened version of the robust capped likelihood; with honest (wide)
 // ring widths it keeps residual background rings from biasing the map,
-// which hard capping alone cannot once pulls shrink below the cap. It
+// which hard capping alone cannot once pulls shrink below the cap. The
+// rings and probabilities are copied into columns when it is called. It
 // panics when bkgProb and rings disagree in length.
-func MixtureEvaluator(cfg *localize.Config, rings []*recon.Ring, bkgProb []float64) func(geom.Vec) float64 {
+func MixtureEvaluator(cfg *localize.Config, rings []*recon.Ring, bkgProb []float64) func(dirs []geom.Vec, out []float64) {
 	if len(bkgProb) != len(rings) {
 		panic("sky: bkgProb length mismatch")
 	}
-	floor := math.Exp(-cfg.RobustCap / 2)
+	return newMixture(cfg.RobustCap, rings, bkgProb).eval
+}
+
+// mixture is the columnar form of a ring set for the mixture surface: the
+// ring axis, η and dη, and each ring's two mixture constants q = 1−p and
+// pf = p·floor, as contiguous float64 columns. The constants are computed
+// once per ring with the formula's own operations, so they have the bits
+// a per-pair evaluation would give them.
+type mixture struct {
+	x, y, z, eta, deta, q, pf []float64
+}
+
+func newMixture(robustCap float64, rings []*recon.Ring, bkgProb []float64) *mixture {
+	floor := math.Exp(-robustCap / 2)
 	// Even a ring the classifier is sure about has some probability of
 	// being mis-reconstructed junk; this floor keeps any single ring from
 	// vetoing a sky region outright (the mixture analogue of hard capping).
 	const pMin = 0.02
-	return func(d geom.Vec) float64 {
-		var ll float64
-		for j, r := range rings {
-			pull := r.Pull(d)
-			p := pMin + (1-pMin)*bkgProb[j]
-			ll += math.Log((1-p)*math.Exp(-pull*pull/2) + p*floor)
-		}
-		return ll
+	n := len(rings)
+	cols := make([]float64, 7*n)
+	m := &mixture{
+		x:    cols[0*n : 1*n : 1*n],
+		y:    cols[1*n : 2*n : 2*n],
+		z:    cols[2*n : 3*n : 3*n],
+		eta:  cols[3*n : 4*n : 4*n],
+		deta: cols[4*n : 5*n : 5*n],
+		q:    cols[5*n : 6*n : 6*n],
+		pf:   cols[6*n : 7*n : 7*n],
+	}
+	for j, r := range rings {
+		p := pMin + (1-pMin)*bkgProb[j]
+		m.x[j], m.y[j], m.z[j] = r.Axis.X, r.Axis.Y, r.Axis.Z
+		m.eta[j], m.deta[j] = r.Eta, r.DEta
+		m.q[j], m.pf[j] = 1-p, p*floor
+	}
+	return m
+}
+
+// at is the scalar loop: the surface at d, summed in ring order, with the
+// pull in Dot's order. It is the portable path and the reference the
+// amd64 kernel reproduces bit for bit.
+func (m *mixture) at(d geom.Vec) float64 {
+	var ll float64
+	for j := range m.eta {
+		pull := (d.X*m.x[j] + d.Y*m.y[j] + d.Z*m.z[j] - m.eta[j]) / m.deta[j]
+		ll += math.Log(m.q[j]*math.Exp(-pull*pull/2) + m.pf[j])
+	}
+	return ll
+}
+
+// eval sets out[i] to the surface at dirs[i]: whole quads of directions
+// through the kernel where it runs, the rest through the scalar loop. A
+// value does not depend on the directions evaluated with it, so any split
+// of dirs gives the same bits.
+func (m *mixture) eval(dirs []geom.Vec, out []float64) {
+	out = out[:len(dirs)]
+	for i := m.quads(dirs, out); i < len(dirs); i++ {
+		out[i] = m.at(dirs[i])
 	}
 }

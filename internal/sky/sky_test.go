@@ -78,11 +78,17 @@ func ringsAround(s geom.Vec, n int, noise float64, rng *xrand.RNG) []*recon.Ring
 }
 
 // peak returns the pixel center of g where eval is largest.
-func peak(eval func(geom.Vec) float64, g *Grid) geom.Vec {
-	best, bl := g.Dir(0), math.Inf(-1)
-	for i := 0; i < g.NumPixels(); i++ {
-		if l := eval(g.Dir(i)); l > bl {
-			best, bl = g.Dir(i), l
+func peak(eval func([]geom.Vec, []float64), g *Grid) geom.Vec {
+	dirs := make([]geom.Vec, g.NumPixels())
+	for i := range dirs {
+		dirs[i] = g.Dir(i)
+	}
+	vals := make([]float64, len(dirs))
+	eval(dirs, vals)
+	best, bl := dirs[0], math.Inf(-1)
+	for i, l := range vals {
+		if l > bl {
+			best, bl = dirs[i], l
 		}
 	}
 	return best

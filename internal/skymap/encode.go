@@ -230,7 +230,7 @@ func Decode(b []byte) (*Map, error) {
 		return nil, err
 	}
 	m.Coarse = append([]uint8(nil), raw...)
-	m.setGrids()
+	m.geometry = geometryOf(m.CoarseBands, m.RefineFactor)
 	members := m.members
 	prev := -1
 	for t := 0; t < int(nTiles); t++ {

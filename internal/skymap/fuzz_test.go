@@ -12,9 +12,9 @@ import (
 // the input. Any accept/re-encode divergence would break the bitwise
 // determinism the serving cache and journal replay rely on.
 func FuzzSkymapDecode(f *testing.F) {
-	m := Build(func(d geom.Vec) float64 { return -50 * geom.AngleBetween(d, geom.Vec{Z: 1}) }, Options{CoarseBands: 4, RefineFactor: 2, MaxTiles: 4})
+	m := Build(perPixel(func(d geom.Vec) float64 { return -50 * geom.AngleBetween(d, geom.Vec{Z: 1}) }), Options{CoarseBands: 4, RefineFactor: 2, MaxTiles: 4})
 	f.Add(m.Encode())
-	flat := Build(func(geom.Vec) float64 { return 0 }, Options{CoarseBands: 2, RefineFactor: 1, MaxTiles: 1})
+	flat := Build(perPixel(func(geom.Vec) float64 { return 0 }), Options{CoarseBands: 2, RefineFactor: 1, MaxTiles: 1})
 	f.Add(flat.Encode())
 	f.Add([]byte(Magic))
 	f.Add([]byte{})

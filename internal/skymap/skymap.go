@@ -14,9 +14,12 @@
 package skymap
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/localize"
@@ -155,23 +158,46 @@ type Map struct {
 	// Tiles are the refined coarse pixels, ascending by Coarse index.
 	Tiles []Tile
 
-	// Derived lookup state (built by setGrids and finish, never
-	// serialized).
+	// Derived lookup state (set by Build and Decode, never serialized):
+	// the shared grids and tile membership of the map's geometry, the
+	// fine-pixel lookup, and the cells ranked for the credible contours.
+	*geometry
+	fineVal map[int]uint16
+	rank    ranking
+}
+
+// geometry is the grid pair of one (CoarseBands, RefineFactor) and its
+// tile membership table: a pure function of the two numbers, shared
+// read-only by the maps that use it.
+type geometry struct {
 	coarse, fine *sky.Grid
 	members      [][]int // tile membership: see tileMembers
-	fineVal      map[int]uint16
 }
 
-// setGrids builds the two grids of the map's geometry and the tile
-// membership table that Build, Decode and the contours share.
-func (m *Map) setGrids() {
-	m.coarse = sky.NewGrid(m.CoarseBands)
-	m.fine = sky.NewGrid(m.CoarseBands * m.RefineFactor)
-	m.members = tileMembers(m.coarse, m.fine)
+func newGeometry(coarseBands, refineFactor int) *geometry {
+	coarse := sky.NewGrid(coarseBands)
+	fine := sky.NewGrid(coarseBands * refineFactor)
+	return &geometry{coarse: coarse, fine: fine, members: tileMembers(coarse, fine)}
 }
 
-// finish builds the fine-pixel lookup from the tiles; setGrids must have
-// run.
+// defaultGeometry is built once per process: every flown map and every
+// payload decoded on the ground uses it.
+var defaultGeometry = sync.OnceValue(func() *geometry {
+	return newGeometry(DefaultCoarseBands, DefaultRefineFactor)
+})
+
+// geometryOf returns the geometry of (coarseBands, refineFactor). Only the
+// default one is kept: Decode accepts 248 geometries, the largest table is
+// about 2 MB, and a stream of payloads must not be able to pin them.
+func geometryOf(coarseBands, refineFactor int) *geometry {
+	if coarseBands == DefaultCoarseBands && refineFactor == DefaultRefineFactor {
+		return defaultGeometry()
+	}
+	return newGeometry(coarseBands, refineFactor)
+}
+
+// finish builds the fine-pixel lookup from the tiles and ranks the cells;
+// the geometry must be set.
 func (m *Map) finish() {
 	m.fineVal = make(map[int]uint16)
 	for _, t := range m.Tiles {
@@ -181,6 +207,7 @@ func (m *Map) finish() {
 			}
 		}
 	}
+	m.rank = m.rankCells()
 }
 
 // tileMembers assigns every fine pixel to the coarse pixel containing its
@@ -224,9 +251,12 @@ func dequantize(q, qmax int, floor float64) float64 {
 // quantizes it into a Map: every coarse pixel is evaluated, then the
 // smallest set of coarse pixels covering RefineFraction of the coarse
 // posterior mass (at most MaxTiles, ties broken by pixel index) is
-// re-evaluated on the fine grid. The result is a pure function of (eval,
-// opts) — identical at any Workers value.
-func Build(eval func(geom.Vec) float64, opts Options) *Map {
+// re-evaluated on the fine grid. eval(dirs, out) must set out[i] to the
+// log-likelihood at dirs[i], independently of the other directions; each
+// worker shard passes it one contiguous slice of a layer's pixel centers.
+// The result is a pure function of (eval, opts) — identical at any
+// Workers value.
+func Build(eval func(dirs []geom.Vec, out []float64), opts Options) *Map {
 	opts = opts.withDefaults()
 	floor := -opts.DynamicRange
 	m := &Map{
@@ -234,20 +264,29 @@ func Build(eval func(geom.Vec) float64, opts Options) *Map {
 		RefineFactor: opts.RefineFactor,
 		Temperature:  float32(opts.Temperature),
 		LogFloor:     float32(floor),
+		geometry:     geometryOf(opts.CoarseBands, opts.RefineFactor),
 	}
-	m.setGrids()
 	coarse, fine := m.coarse, m.fine
 	pool := par.NewPool(opts.Workers)
 	temp := opts.Temperature
-
-	// Coarse layer: tempered log-likelihood at every pixel center, each
+	// layer sets vals[i] to the tempered log-likelihood at dirs[i], each
 	// value in its fixed slot.
-	cl := make([]float64, coarse.NumPixels())
-	pool.ForRange(context.Background(), len(cl), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cl[i] = eval(coarse.Dir(i)) / temp
-		}
-	})
+	layer := func(dirs []geom.Vec, vals []float64) {
+		pool.ForRange(context.Background(), len(dirs), func(_, lo, hi int) {
+			eval(dirs[lo:hi], vals[lo:hi])
+			for i := lo; i < hi; i++ {
+				vals[i] /= temp
+			}
+		})
+	}
+
+	// Coarse layer: every pixel center.
+	dirs := make([]geom.Vec, coarse.NumPixels())
+	for i := range dirs {
+		dirs[i] = coarse.Dir(i)
+	}
+	cl := make([]float64, len(dirs))
+	layer(dirs, cl)
 
 	// Refinement selection: coarse posterior mass, highest first, ties by
 	// pixel index.
@@ -303,12 +342,12 @@ func Build(eval func(geom.Vec) float64, opts Options) *Map {
 	for _, c := range refined {
 		fineIdx = append(fineIdx, members[c]...)
 	}
+	fineDirs := make([]geom.Vec, len(fineIdx))
+	for k, j := range fineIdx {
+		fineDirs[k] = fine.Dir(j)
+	}
 	fl := make([]float64, len(fineIdx))
-	pool.ForRange(context.Background(), len(fineIdx), func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			fl[k] = eval(fine.Dir(fineIdx[k])) / temp
-		}
-	})
+	layer(fineDirs, fl)
 
 	// Global peak: the maximum evaluated density. Fine pixels win ties —
 	// they are the resolution the notice quotes.
@@ -370,7 +409,7 @@ func Build(eval func(geom.Vec) float64, opts Options) *Map {
 // background probabilities are supplied, the plain robust likelihood
 // otherwise.
 func FromRings(cfg *localize.Config, rings []*recon.Ring, bkgProb []float64, opts Options) *Map {
-	var eval func(geom.Vec) float64
+	var eval func([]geom.Vec, []float64)
 	if bkgProb != nil {
 		eval = sky.MixtureEvaluator(cfg, rings, bkgProb)
 	} else {
@@ -396,7 +435,7 @@ func (m *Map) cells() []cell {
 		refined[t.Coarse] = true
 	}
 	floor := float64(m.LogFloor)
-	var out []cell
+	out := make([]cell, 0, len(m.Coarse)-len(m.Tiles)+m.NumFine())
 	for i, q := range m.Coarse {
 		if refined[i] {
 			continue
@@ -414,38 +453,64 @@ func (m *Map) cells() []cell {
 
 const deg2PerSr = (180 / math.Pi) * (180 / math.Pi)
 
-// contours computes the highest-posterior-density credible contour at each
-// level from the quantized data: cells are ranked once by density (ties:
-// fine before coarse, then pixel index), and for each level p accumulated
-// until their posterior mass reaches p. thr[k] is the relative log-density
-// threshold of the last cell included at levels[k], areaDeg2[k] the
-// included area in square degrees.
-func (m *Map) contours(levels ...float64) (thr, areaDeg2 []float64) {
+// ranking is a map's cells ranked once by density (ties: fine before
+// coarse, then pixel index) with their running sums in rank order:
+// mass[i] and sr[i] are the posterior mass and solid angle of cells 0..i.
+// It is all a credible contour at any level needs.
+type ranking struct {
+	logd, mass, sr []float64
+}
+
+// rankCells ranks the map's cells for the contours.
+func (m *Map) rankCells() ranking {
 	cs := m.cells()
-	sort.Slice(cs, func(a, b int) bool {
-		if cs[a].logd != cs[b].logd {
-			return cs[a].logd > cs[b].logd
-		}
-		if cs[a].fine != cs[b].fine {
-			return cs[a].fine
-		}
-		return cs[a].idx < cs[b].idx
-	})
-	mass := make([]float64, len(cs))
-	var total float64
-	for i, c := range cs {
-		mass[i] = math.Exp(c.logd) * c.sr
-		total += mass[i]
-	}
-	for _, p := range levels {
-		var acc, sr, t float64
-		for i, c := range cs {
-			acc += mass[i]
-			sr += c.sr
-			t = c.logd
-			if acc >= p*total {
-				break
+	// A strict total order: any sort gives the same ranking.
+	slices.SortFunc(cs, func(a, b cell) int {
+		switch {
+		case a.logd != b.logd:
+			return cmp.Compare(b.logd, a.logd)
+		case a.fine != b.fine:
+			if a.fine {
+				return -1
 			}
+			return 1
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	n := len(cs)
+	cols := make([]float64, 3*n)
+	r := ranking{logd: cols[:n:n], mass: cols[n : 2*n : 2*n], sr: cols[2*n:]}
+	var acc, sr float64
+	for i, c := range cs {
+		// The conversion rounds the product on its own, so no
+		// architecture fuses it into the sum.
+		acc += float64(math.Exp(c.logd) * c.sr)
+		sr += c.sr
+		r.logd[i], r.mass[i], r.sr[i] = c.logd, acc, sr
+	}
+	return r
+}
+
+// contours computes the highest-posterior-density credible contour at each
+// level from the quantized data: for each level p, the ranked cells are
+// included until their posterior mass reaches p. thr[k] is the relative
+// log-density threshold of the last cell included at levels[k], areaDeg2[k]
+// the included area in square degrees.
+func (m *Map) contours(levels ...float64) (thr, areaDeg2 []float64) {
+	r := m.rank
+	n := len(r.logd)
+	for _, p := range levels {
+		var t, sr float64
+		if n > 0 {
+			// The running mass never decreases, so the first cell whose
+			// running mass reaches p·total is found by bisection; when no
+			// cell does (p > 1 or NaN), every cell is included.
+			target := p * r.mass[n-1]
+			i := sort.Search(n, func(i int) bool { return r.mass[i] >= target })
+			if i == n {
+				i = n - 1
+			}
+			t, sr = r.logd[i], r.sr[i]
 		}
 		thr = append(thr, t)
 		areaDeg2 = append(areaDeg2, sr*deg2PerSr)

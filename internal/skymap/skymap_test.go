@@ -27,6 +27,15 @@ func testRings(s geom.Vec, n int, noise float64, rng *xrand.RNG) []*recon.Ring {
 	return rings
 }
 
+// perPixel adapts a per-direction surface to Build's batch shape.
+func perPixel(f func(geom.Vec) float64) func([]geom.Vec, []float64) {
+	return func(dirs []geom.Vec, out []float64) {
+		for i, d := range dirs {
+			out[i] = f(d)
+		}
+	}
+}
+
 func buildTestMap(t testing.TB, opts Options) (*Map, geom.Vec) {
 	t.Helper()
 	cfg := localize.DefaultConfig()
@@ -167,7 +176,7 @@ func TestNegativeTemperaturePanics(t *testing.T) {
 					t.Errorf("temperature %v did not panic", temp)
 				}
 			}()
-			Build(func(geom.Vec) float64 { return 0 }, Options{Temperature: temp})
+			Build(perPixel(func(geom.Vec) float64 { return 0 }), Options{Temperature: temp})
 		}()
 	}
 }
@@ -195,7 +204,7 @@ func TestCredibleRegionsNest(t *testing.T) {
 }
 
 func TestDegenerateFlatSurface(t *testing.T) {
-	m := Build(func(geom.Vec) float64 { return 0 }, Options{})
+	m := Build(perPixel(func(geom.Vec) float64 { return 0 }), Options{})
 	b := m.Encode()
 	d, err := Decode(b)
 	if err != nil {
