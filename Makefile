@@ -99,8 +99,8 @@ downlink-smoke:
 	./scripts/downlink_smoke.sh
 
 ## fuzz-smoke: short native-fuzz runs of the untrusted-input decoders and
-## the int8, float32, localization-likelihood and sky-map mixture
-## arithmetic kernels (CI)
+## the int8 requantization and packed-panel, float32, localization-likelihood
+## and sky-map mixture arithmetic kernels (CI)
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/evio
@@ -108,7 +108,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecover -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flightlog
 	$(GO) test -fuzz=FuzzMerge -fuzztime=$(FUZZTIME) -run '^$$' ./internal/merge
 	$(GO) test -fuzz=FuzzRequantize -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn/quant
-	$(GO) test -fuzz=FuzzDotInt8 -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn/quant
+	$(GO) test -fuzz=FuzzPanelDot -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn/quant
 	$(GO) test -fuzz=FuzzLinearForward -fuzztime=$(FUZZTIME) -run '^$$' ./internal/nn
 	$(GO) test -fuzz=FuzzLogLikelihoodPair -fuzztime=$(FUZZTIME) -run '^$$' ./internal/localize
 	$(GO) test -fuzz=FuzzMixtureQuad -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sky

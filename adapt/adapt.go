@@ -203,6 +203,12 @@ type BkgClassifier = pipeline.BkgClassifier
 // row-independent, the result is bitwise-identical to LocalizeEvents for
 // any cls that evaluates the same network.
 func (inst *Instrument) LocalizeEventsWithClassifier(events []*Event, m *Models, cls BkgClassifier, seed uint64) Result {
+	return pipeline.Run(inst.pipelineOptions(m, cls), events, xrand.New(seed))
+}
+
+// pipelineOptions returns the pipeline configuration of inst's runs with
+// models m and background classifier cls (nil for the Backend's network).
+func (inst *Instrument) pipelineOptions(m *Models, cls BkgClassifier) pipeline.Options {
 	opts := pipeline.DefaultOptions()
 	opts.Recon = inst.Recon
 	opts.Loc = inst.Loc
@@ -214,7 +220,7 @@ func (inst *Instrument) LocalizeEventsWithClassifier(events []*Event, m *Models,
 	opts.Backend = inst.Backend
 	opts.Workers = inst.Workers
 	opts.Metrics = inst.Metrics
-	return pipeline.Run(opts, events, xrand.New(seed))
+	return opts
 }
 
 // Training configures TrainModels.
@@ -375,11 +381,11 @@ func DecodeSkyMap(b []byte) (*DownlinkMap, error) { return skymap.Decode(b) }
 // BuildSkyMap renders the downlink map an alert carries for a
 // localization result that ran with models m (nil for the no-ML pipeline):
 // pipeline.ProductRings supplies the rings, their calibrated widths and
-// their background weights, and inst's solver configuration the
-// likelihood. The payload (DownlinkMap.Encode) is bitwise-identical at any
-// parallelism.
+// their background weights from inst's Backend, and inst's solver
+// configuration the likelihood. The payload (DownlinkMap.Encode) is
+// bitwise-identical at any parallelism.
 func (inst *Instrument) BuildSkyMap(res Result, m *Models, opts SkyMapOptions) *DownlinkMap {
-	rings, probs := pipeline.ProductRings(m, &res)
+	rings, probs := pipeline.ProductRings(inst.pipelineOptions(m, nil), &res)
 	return skymap.FromRings(&inst.Loc, rings, probs, opts)
 }
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/evio"
 	"repro/internal/expt"
 	"repro/internal/flightlog"
+	"repro/internal/geom"
 	"repro/internal/localize"
 	"repro/internal/pipeline"
 	"repro/internal/recon"
@@ -407,15 +408,41 @@ func BenchmarkSkymapEncode(b *testing.B) {
 func BenchmarkSkymapDecode(b *testing.B) {
 	_, rings := benchScene()
 	cfg := localize.DefaultConfig()
-	payload := skymap.FromRings(&cfg, rings, nil, skymap.Options{}).Encode()
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := skymap.Decode(payload); err != nil {
-			b.Fatal(err)
+	payloads := []struct {
+		name string
+		data []byte
+	}{
+		{"default", skymap.FromRings(&cfg, rings, nil, skymap.Options{}).Encode()},
+		{"largest", largestSkymapPayload()},
+	}
+	for _, p := range payloads {
+		b.Run(p.name, func(b *testing.B) {
+			b.SetBytes(int64(len(p.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := skymap.Decode(p.data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// largestSkymapPayload builds the largest payload Decode accepts: the
+// finest geometry (MaxCoarseBands × MaxRefineFactor) with every coarse
+// pixel refined, over a broad smooth surface (a 60° Gaussian around the
+// zenith) so every pixel carries mass and the values vary.
+func largestSkymapPayload() []byte {
+	surface := func(dirs []geom.Vec, out []float64) {
+		for i, d := range dirs {
+			th := geom.Polar(d) / (math.Pi / 3)
+			out[i] = -th * th / 2
 		}
 	}
+	return skymap.Build(surface, skymap.Options{
+		CoarseBands: skymap.MaxCoarseBands, RefineFactor: skymap.MaxRefineFactor,
+		MaxTiles: 1 << 20, RefineFraction: 1, Temperature: 1, DynamicRange: 40,
+	}).Encode()
 }
 
 // benchJournalRecords builds a quiet-sky journal workload: one canonical

@@ -111,7 +111,7 @@ trial:
 			opts.Backend = backend
 			r := start
 			res := pipeline.Run(opts, events, &r)
-			rings, probs := pipeline.ProductRings(b, &res)
+			rings, probs := pipeline.ProductRings(opts, &res)
 			return productRings{rings, probs}, res.Loc.OK
 		}
 		tr := coverageTrial{truth: burst.SourceDirection()}

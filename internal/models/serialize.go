@@ -102,7 +102,7 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 		if len(net.Layers) == 0 {
 			return nil, fmt.Errorf("models: bundle claims a quantized model but has no layers")
 		}
-		// gob cannot restore the unexported GEMM cache; rebuild it.
+		// gob skips the unexported inference caches; rebuild them.
 		net.Prepare()
 		b.Int8 = &net
 	}

@@ -7,9 +7,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// benchInt8 builds a quantized network of the paper's background-net shape.
-func benchInt8(b *testing.B) (*Int8Net, *nn.Sequential, []float32) {
-	b.Helper()
+// Package-level sinks keep benchmarked results live so the compiler cannot
+// drop the call.
+var (
+	sinkLogit  float32
+	sinkLogits []float32
+	sinkAcc    []int32
+)
+
+// benchInt8 builds a quantized network of the paper's background-net shape
+// and returns it with its float original and a 512×13 feature batch.
+func benchInt8(tb testing.TB) (*Int8Net, *nn.Sequential, *nn.Tensor) {
+	tb.Helper()
 	rng := xrand.New(1)
 	net := nn.NewSequential(
 		nn.NewLinear(13, 256, rng), nn.NewBatchNorm1D(256), nn.NewReLU(),
@@ -19,7 +28,7 @@ func benchInt8(b *testing.B) (*Int8Net, *nn.Sequential, []float32) {
 	)
 	fused, err := FuseForQuant(net)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	x := nn.NewTensor(512, 13)
 	for i := range x.Data {
@@ -35,23 +44,37 @@ func benchInt8(b *testing.B) (*Int8Net, *nn.Sequential, []float32) {
 	}
 	int8net, err := Convert(fused)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return int8net, net, x.Row(0)
+	return int8net, net, x
 }
 
 func BenchmarkInt8Logit(b *testing.B) {
-	int8net, _, row := benchInt8(b)
+	int8net, _, x := benchInt8(b)
+	row := x.Row(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		int8net.Logit(row)
+		sinkLogit = int8net.Logit(row)
 	}
 }
 
+// BenchmarkInt8Batch512 times batched inference of 512 rows, the size the
+// perfbench int8 per-row metric uses, with the per-call scratch in allocs.
+func BenchmarkInt8Batch512(b *testing.B) {
+	int8net, _, x := benchInt8(b)
+	out := make([]float32, x.Rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		int8net.LogitsInto(x, out)
+	}
+	sinkLogits = out
+}
+
 func BenchmarkFP32Single(b *testing.B) {
-	_, net, row := benchInt8(b)
-	x := nn.FromRows([][]float32{row})
+	_, net, xb := benchInt8(b)
+	x := nn.FromRows([][]float32{xb.Row(0)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -62,3 +62,19 @@ func FuzzRequantize(f *testing.F) {
 		}
 	})
 }
+
+// TestRequantizeLargeShift extends FuzzRequantize's contract past its
+// shift range: from a shift of 63 up, every product in its domain
+// (|acc·m0| < 2⁶²) is below half a step, so the result is the zero point,
+// including shifts at and past the word width.
+func TestRequantizeLargeShift(t *testing.T) {
+	for _, shift := range []uint{63, 64, 65, 100, 1 << 20} {
+		for _, acc := range []int64{-(1<<31 - 1), -3, -1, 0, 1, 3, 1<<31 - 1} {
+			for _, zero := range []int32{-128, 0, 5, 127} {
+				if got := requantize(acc, 1<<31-1, shift, zero); got != int8(zero) {
+					t.Errorf("requantize(%d, 2³¹−1, %d, %d) = %d, want %d", acc, shift, zero, got, zero)
+				}
+			}
+		}
+	}
+}

@@ -2,43 +2,60 @@ package quant
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/nn"
 )
 
-// This file is the batched integer inference path: one int8 GEMM per layer
-// over a whole feature matrix, instead of one vector pass per row (Logit).
-// Batching amortizes the per-layer requantization setup and keeps the int8
-// weight matrix hot in cache across rows, which is where the INT8 model
-// overtakes the FP32 network (see BenchmarkBackendBatch): the arithmetic
-// per MAC is comparable, but the batched path is allocation-free per row,
-// fuses ReLU into requantization, and never touches float until the final
-// logit.
+// This file is the batched integer inference path. Each row runs through
+// every layer on the packed-panel kernel (panel.go): one panelDot call
+// scores the row against all of a layer's outputs, sixteen per pass, on
+// int16 activation codes, and a branch-free scalar loop requantizes the
+// accumulators into the next layer's codes. The panels and the
+// zero-point-folded biases are derived once (Prepare), and the per-call
+// scratch is sized by the widest layer, not by rows × width. No float is
+// touched until the final logit.
 //
 // Determinism: every operation is exact integer arithmetic, so the result
 // of a row is independent of the batch it rides in and of any row-range
 // sharding — batched inference is bitwise-identical to per-row Logit calls
 // at any batch size and worker count.
 
-// prepare computes the zero-point-folded biases used by the batched path:
+// Prepare computes the derived state of the batched path: each layer's
+// packed int16 weight panels (packPanel) and its zero-point-folded biases
 //
 //	biasAdj[o] = Bias[o] − InZero·Σᵢ W[o·In+i]
 //
-// so the inner GEMM loop is a plain Σ xᵢ·wᵢ over raw int8 codes with no
+// so the kernel computes a plain Σ xᵢ·wᵢ over raw int8 codes with no
 // per-element zero-point subtraction. The fold is exact integer algebra,
 // so results are bitwise-identical to the unfolded form used by Logit.
 //
 // Convert calls Prepare at construction time, and models.LoadBundle calls
-// it after gob decoding (gob cannot restore the unexported cache). A
-// hand-built Int8Net that skips Prepare computes the fold per call instead
-// (never writing the cache, so concurrent first calls stay race-free). An
-// Int8Net must not be mutated after its first inference.
+// it after gob decoding (gob skips the unexported caches). A hand-built
+// Int8Net that skips Prepare derives both per call instead (never writing
+// the caches, so concurrent first calls stay race-free). An Int8Net must
+// not be mutated after its first inference.
 func (n *Int8Net) Prepare() {
-	adj := make([][]int64, len(n.Layers))
-	for li := range n.Layers {
-		adj[li] = biasAdjusted(&n.Layers[li])
+	n.biasAdj, n.panels = n.derived()
+}
+
+// derived returns the cached per-layer biases and panels, computing
+// whichever cache is missing without storing it.
+func (n *Int8Net) derived() ([][]int64, [][]int16) {
+	adj, panels := n.biasAdj, n.panels
+	if adj == nil {
+		adj = make([][]int64, len(n.Layers))
+		for li := range n.Layers {
+			adj[li] = biasAdjusted(&n.Layers[li])
+		}
 	}
-	n.biasAdj = adj
+	if panels == nil {
+		panels = make([][]int16, len(n.Layers))
+		for li := range n.Layers {
+			panels[li] = packPanel(&n.Layers[li])
+		}
+	}
+	return adj, panels
 }
 
 // biasAdjusted returns the zero-point-folded bias vector of one layer.
@@ -76,75 +93,72 @@ func (n *Int8Net) LogitsInto(x *nn.Tensor, out []float32) {
 	if len(out) != x.Rows {
 		panic("quant: LogitsInto output length must equal x.Rows")
 	}
-	rows := x.Rows
-	if rows == 0 {
+	if x.Rows == 0 {
 		return
 	}
 	last := &n.Layers[len(n.Layers)-1]
 	if !last.Final || last.Out != 1 {
 		panic("quant: Int8Net final layer must be a single-output Final layer")
 	}
-
-	// One quantization pass over the input, then two ping-pong activation
-	// buffers sized for the widest hidden layer.
-	maxOut := 0
-	for i := range n.Layers {
-		if l := &n.Layers[i]; !l.Final && l.Out > maxOut {
-			maxOut = l.Out
-		}
-	}
-	xq := make([]int8, rows*x.Cols)
-	for i, f := range x.Data {
-		xq[i] = n.Input.Quantize(f)
-	}
-	var bufA, bufB []int8
-	if maxOut > 0 {
-		bufA = make([]int8, rows*maxOut)
-		bufB = make([]int8, rows*maxOut)
+	adj, panels := n.derived()
+	// Rows stop at the first Final layer, as in Logit; its output 0 is the
+	// logit.
+	fin := slices.IndexFunc(n.Layers, func(l Int8Layer) bool { return l.Final })
+	scale := n.Layers[fin].DeqScale
+	if n.Layers[fin].PerChannel {
+		scale = n.Layers[fin].DeqScales[0]
 	}
 
-	cur := xq
-	for li := range n.Layers {
-		l := &n.Layers[li]
-		var badj []int64
-		if n.biasAdj != nil {
-			badj = n.biasAdj[li]
-		} else {
-			badj = biasAdjusted(l)
-		}
-		if l.Final {
-			w := l.W[:l.In]
-			scale := l.DeqScale
-			if l.PerChannel {
-				scale = l.DeqScales[0]
-			}
-			for r := 0; r < rows; r++ {
-				acc := badj[0] + dotInt8(cur[r*l.In:(r+1)*l.In], w)
-				out[r] = float32(acc) * scale
-			}
-			return
-		}
-		y := bufA[:rows*l.Out]
-		for r := 0; r < rows; r++ {
-			xrow := cur[r*l.In : (r+1)*l.In]
-			yrow := y[r*l.Out : (r+1)*l.Out]
-			for o := 0; o < l.Out; o++ {
-				acc := badj[o] + dotInt8(xrow, l.W[o*l.In:(o+1)*l.In])
-				var q int8
-				if l.PerChannel {
-					q = requantize(acc, l.M0s[o], l.Shifts[o], l.OutZero)
-				} else {
-					q = requantize(acc, l.M0, l.Shift, l.OutZero)
-				}
-				if l.ReLU && int32(q) < l.OutZero {
-					q = clampInt8(l.OutZero)
-				}
-				yrow[o] = q
-			}
-		}
-		cur, bufA, bufB = y, bufB, bufA
+	// Two ping-pong activation rows and one accumulator row, each sized
+	// for the widest layer.
+	width, accWidth := 0, 0
+	for li := range n.Layers[:fin+1] {
+		in, outs := panelWidths(&n.Layers[li])
+		width, accWidth = max(width, in), max(accWidth, outs)
 	}
-	panic("quant: Int8Net has no Final layer")
+	scratch := make([]int16, 2*width)
+	cur, next := scratch[:width], scratch[width:]
+	acc := make([]int32, accWidth)
+
+	for r := range out {
+		for i, f := range x.Row(r) {
+			cur[i] = int16(n.Input.Quantize(f))
+		}
+		for li := range n.Layers[:fin] {
+			l := &n.Layers[li]
+			in, outs := panelWidths(l)
+			panelDot(acc[:outs], cur[:in], panels[li])
+			l.requantizeRow(next[:l.Out], acc, adj[li])
+			cur, next = next, cur
+		}
+		in, outs := panelWidths(&n.Layers[fin])
+		panelDot(acc[:outs], cur[:in], panels[fin])
+		out[r] = float32(adj[fin][0]+int64(acc[0])) * scale
+	}
+}
+
+// requantizeRow writes a hidden layer's output codes, widened to int16,
+// from its raw accumulators: y[o] = max(requantize(bias[o]+acc[o]), floor),
+// where floor is the ReLU floor (OutZero clamped to int8) or −128 without
+// ReLU. Flooring after the saturating requantization equals Logit's
+// "below OutZero → OutZero" for any OutZero, inside int8 or not.
+func (l *Int8Layer) requantizeRow(y []int16, acc []int32, bias []int64) {
+	floor := int32(-128)
+	if l.ReLU {
+		floor = int32(clampInt8(l.OutZero))
+	}
+	acc, bias = acc[:len(y)], bias[:len(y)]
+	if l.PerChannel {
+		m0s, shifts := l.M0s[:len(y)], l.Shifts[:len(y)]
+		for o := range y {
+			y[o] = int16(max(int32(requantize(bias[o]+int64(acc[o]), m0s[o], shifts[o], l.OutZero)), floor))
+		}
+		return
+	}
+	rq := newRequantizer(l.M0, l.Shift, l.OutZero)
+	for o := range y {
+		y[o] = int16(max(int32(rq.apply(bias[o]+int64(acc[o]))), floor))
+	}
 }
 
 // Probs runs batched integer inference and applies the float sigmoid per
@@ -164,25 +178,4 @@ func (n *Int8Net) ProbsInto(x *nn.Tensor, out []float32) {
 	for i, v := range out {
 		out[i] = nn.Sigmoid(v)
 	}
-}
-
-// dotInt8Generic computes Σ x[i]·w[i] in int32 with 4-way unrolling; x and
-// w must have equal length. The accumulator cannot overflow: |x·w| ≤ 128²
-// and layer widths are far below 2³¹/128². It is the portable dotInt8
-// implementation and the reference the SIMD kernel is differential-tested
-// against (TestDotInt8MatchesGeneric, FuzzDotInt8).
-func dotInt8Generic(x, w []int8) int64 {
-	var s0, s1, s2, s3 int32
-	n := len(x) &^ 3
-	w = w[:len(x)] // eliminate bounds checks in the loop
-	for i := 0; i < n; i += 4 {
-		s0 += int32(x[i]) * int32(w[i])
-		s1 += int32(x[i+1]) * int32(w[i+1])
-		s2 += int32(x[i+2]) * int32(w[i+2])
-		s3 += int32(x[i+3]) * int32(w[i+3])
-	}
-	for i := n; i < len(x); i++ {
-		s0 += int32(x[i]) * int32(w[i])
-	}
-	return int64(s0 + s1 + s2 + s3)
 }

@@ -31,8 +31,27 @@ func convertTrained(t *testing.T, perChannel bool) (*Int8Net, *nn.Dataset) {
 
 // TestBatchedMatchesPerRow is the backend determinism contract: the batched
 // GEMM must be bitwise-identical to per-row Logit calls at every batch
-// size, because the zero-point fold is exact integer algebra.
+// size, because the zero-point fold is exact integer algebra. Besides the
+// converted nets it covers hand-built ones at the edges of the integer
+// contract: zero points on both rails, an OutZero outside int8, a zero
+// shift, per-channel scales, and 200 random nets with widths 1–70.
 func TestBatchedMatchesPerRow(t *testing.T) {
+	check := func(t *testing.T, int8net *Int8Net, x *nn.Tensor, batches []int) {
+		t.Helper()
+		for _, batch := range batches {
+			xb := x.SliceRows(0, batch)
+			logits := int8net.Logits(xb)
+			probs := int8net.Probs(xb)
+			for r := 0; r < batch; r++ {
+				if want := int8net.Logit(xb.Row(r)); logits[r] != want {
+					t.Fatalf("batch %d row %d: batched logit %v != per-row %v", batch, r, logits[r], want)
+				}
+				if want := int8net.Prob(xb.Row(r)); probs[r] != want {
+					t.Fatalf("batch %d row %d: batched prob %v != per-row %v", batch, r, probs[r], want)
+				}
+			}
+		}
+	}
 	for _, perChannel := range []bool{false, true} {
 		name := "per-tensor"
 		if perChannel {
@@ -40,24 +59,81 @@ func TestBatchedMatchesPerRow(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			int8net, ds := convertTrained(t, perChannel)
-			for _, batch := range []int{1, 3, 8, 64} {
-				x := nn.NewTensor(batch, ds.X.Cols)
-				for r := 0; r < batch; r++ {
-					copy(x.Row(r), ds.X.Row(r*7%ds.Len()))
-				}
-				logits := int8net.Logits(x)
-				probs := int8net.Probs(x)
-				for r := 0; r < batch; r++ {
-					if want := int8net.Logit(x.Row(r)); logits[r] != want {
-						t.Fatalf("batch %d row %d: batched logit %v != per-row %v", batch, r, logits[r], want)
-					}
-					if want := int8net.Prob(x.Row(r)); probs[r] != want {
-						t.Fatalf("batch %d row %d: batched prob %v != per-row %v", batch, r, probs[r], want)
-					}
-				}
+			x := nn.NewTensor(64, ds.X.Cols)
+			for r := 0; r < x.Rows; r++ {
+				copy(x.Row(r), ds.X.Row(r*7%ds.Len()))
 			}
+			check(t, int8net, x, []int{1, 3, 8, 64})
 		})
 	}
+
+	// Hand-built nets: each edge case edits a random net.
+	widths := []int{13, 37, 20, 1}
+	edges := []struct {
+		name string
+		edit func(n *Int8Net)
+	}{
+		{"rails", func(n *Int8Net) {
+			n.Input.Zero = 127
+			for i := range n.Layers {
+				l := &n.Layers[i]
+				l.InZero = []int32{127, -128}[i%2]
+				l.OutZero = []int32{-128, 127}[i%2]
+				l.ReLU = true
+			}
+		}},
+		{"out-zero-outside-int8", func(n *Int8Net) {
+			n.Layers[0].OutZero, n.Layers[0].ReLU = 200, true
+			n.Layers[1].OutZero, n.Layers[1].ReLU = -300, true
+			n.Layers[1].InZero = 127
+		}},
+		{"shift-0", func(n *Int8Net) {
+			n.Layers[0].M0, n.Layers[0].Shift = 1, 0
+			n.Layers[1].M0, n.Layers[1].Shift = 3, 0
+		}},
+		{"per-channel", func(n *Int8Net) {
+			rng := xrand.New(81)
+			for i := range n.Layers {
+				l := &n.Layers[i]
+				l.PerChannel = true
+				l.DeqScales = make([]float32, l.Out)
+				for o := range l.DeqScales {
+					l.DeqScales[o] = l.DeqScale * float32(rng.Uniform(0.5, 2))
+				}
+				if l.Final {
+					continue
+				}
+				l.M0s = make([]int32, l.Out)
+				l.Shifts = make([]uint, l.Out)
+				for o := range l.M0s {
+					l.M0s[o], l.Shifts[o] = l.M0, l.Shift+uint(rng.IntN(3))
+				}
+				l.M0s[0], l.Shifts[0] = 1, 0 // one zero-shift channel
+			}
+		}},
+	}
+	for i, e := range edges {
+		t.Run("hand/"+e.name, func(t *testing.T) {
+			int8net := handNet(xrand.New(uint64(90+i)), widths, false)
+			e.edit(int8net)
+			check(t, int8net, gaussianBatch(xrand.New(91), 64, widths[0], 3), []int{1, 3, 8, 64})
+		})
+	}
+	t.Run("hand/random", func(t *testing.T) {
+		rng := xrand.New(92)
+		for trial := 0; trial < 200; trial++ {
+			w := make([]int, 2+rng.IntN(3))
+			for j := range w {
+				w[j] = 1 + rng.IntN(70)
+			}
+			w[len(w)-1] = 1
+			int8net := handNet(rng, w, rng.Bool(0.5))
+			if rng.Bool(0.5) {
+				int8net.Prepare()
+			}
+			check(t, int8net, gaussianBatch(rng, 17, w[0], 3), []int{1, 17})
+		}
+	})
 }
 
 // TestBatchedShardInvariance checks that splitting a batch at any boundary

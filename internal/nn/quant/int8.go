@@ -37,9 +37,12 @@ type Int8Net struct {
 	Input  QParams // quantization of the float input features
 	Layers []Int8Layer
 
-	// biasAdj caches the zero-point-folded biases used by the batched GEMM
-	// path (see gemm.go). Populated by Prepare; nil means fold per call.
+	// biasAdj and panels cache the batched path's derived state (see
+	// gemm.go): each layer's zero-point-folded biases and its packed int16
+	// weight panels. Populated by Prepare; nil means derive per call. Gob
+	// skips unexported fields, so neither is ever serialized.
 	biasAdj [][]int64
+	panels  [][]int16
 }
 
 // Convert turns a QAT-trained network (a Sequential of *QATLinear built by

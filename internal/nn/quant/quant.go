@@ -192,36 +192,45 @@ func requantMultiplier(m float64) (m0 int32, shift uint) {
 }
 
 // requantize applies y = round(acc · m0 · 2^(−shift)) + zero with saturating
-// int8 output, using only integer arithmetic.
+// int8 output, using only integer arithmetic and no branches. It is
+// newRequantizer(m0, shift, zero).apply(acc); layers build the requantizer
+// once and apply it to every output that shares its constants.
 func requantize(acc int64, m0 int32, shift uint, zero int32) int8 {
-	prod := acc * int64(m0)
-	var q int64
-	if shift == 0 {
-		// A zero shift means the multiplier is already integral; a rounding
-		// right shift by zero is the identity. Unreachable for multipliers
-		// produced by requantMultiplier (< 1 ⇒ shift ≥ 31) but kept total so
-		// the function is well-defined on all inputs (see FuzzRequantize).
-		q = prod
-	} else {
-		// Rounding right shift, round-half-away-from-zero.
-		round := int64(1) << (shift - 1)
-		if prod < 0 {
-			round--
-		}
-		q = (prod + round) >> shift
-	}
-	return clampInt8Wide(q + int64(zero))
+	return newRequantizer(m0, shift, zero).apply(acc)
 }
 
-// clampInt8Wide saturates an int64 to the int8 range; requantize needs the
-// wide form because acc·m0 can exceed int32 before the shift for adversarial
-// (fuzzed) inputs even though converted networks never produce them.
-func clampInt8Wide(q int64) int8 {
-	if q < -128 {
-		return -128
+// requantizer holds requantize's constants for one (m0, shift, zero).
+type requantizer struct {
+	m0, half, neg, zero int64
+	shift               uint
+}
+
+// newRequantizer precomputes the rounding right shift, which rounds half
+// away from zero: half is 2^(shift−1), and neg takes one off it for a
+// negative product. A zero shift means the multiplier is already integral
+// and the shift is the identity (half and neg are both 0); it is
+// unreachable for multipliers produced by requantMultiplier (< 1 ⇒
+// shift ≥ 31) but kept total so the function is well-defined on all inputs
+// (see FuzzRequantize). The shift is capped at 63: any product of an
+// accumulator below 2³¹ and a 31-bit mantissa is below 2⁶², so from 63 up
+// every shift rounds it to 0, and the cap keeps that exact.
+func newRequantizer(m0 int32, shift uint, zero int32) requantizer {
+	shift = min(shift, 63)
+	return requantizer{
+		m0:    int64(m0),
+		half:  int64(uint64(1) << shift >> 1),
+		neg:   -int64(min(shift, 1)),
+		zero:  int64(zero),
+		shift: shift,
 	}
-	if q > 127 {
-		return 127
-	}
-	return int8(q)
+}
+
+// apply requantizes one accumulator. The sum is taken in int64 because
+// acc·m0 can exceed int32 before the shift for adversarial (fuzzed) inputs
+// even though converted networks never produce them. The shift is already
+// at most 63; masking it tells the compiler so, and it emits a bare SAR.
+func (r requantizer) apply(acc int64) int8 {
+	prod := acc * r.m0
+	q := (prod+r.half+prod>>63&r.neg)>>(r.shift&63) + r.zero
+	return int8(min(max(q, -128), 127))
 }

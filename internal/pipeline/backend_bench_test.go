@@ -45,6 +45,10 @@ func benchClassifiers(b *testing.B) (map[string]BkgClassifier, *nn.Tensor) {
 	}, x
 }
 
+// sinkProbs keeps benchmarked results live so the compiler cannot drop the
+// call.
+var sinkProbs []float32
+
 // BenchmarkBackendBatch measures backend-generic inference per batch size —
 // the numbers behind the EXPERIMENTS.md backend table. On amd64 the float32
 // Linear kernel works on blocks of four rows, so a single row takes its
@@ -62,6 +66,7 @@ func BenchmarkBackendBatch(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					ClassifierProbsInto(cls, xb, out)
 				}
+				sinkProbs = out
 			})
 		}
 	}

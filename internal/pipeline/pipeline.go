@@ -106,6 +106,21 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// classifier resolves the background classifier a run evaluates:
+// BkgOverride, else Backend's network over Bundle. It panics when the
+// backend cannot serve the bundle; callers surface friendlier errors by
+// pre-validating with NewClassifier.
+func (o *Options) classifier() BkgClassifier {
+	if o.BkgOverride != nil {
+		return o.BkgOverride
+	}
+	cls, err := NewClassifier(o.Backend, o.Bundle)
+	if err != nil {
+		panic("pipeline: " + err.Error())
+	}
+	return cls
+}
+
 // DefaultOptions returns the production configuration.
 func DefaultOptions() Options {
 	return Options{
@@ -280,14 +295,7 @@ func Run(opts Options, events []*detector.Event, rng *xrand.RNG) Result {
 
 	// ---- Iterative background rejection (Fig. 6) ----
 	if opts.Bundle != nil {
-		cls := opts.BkgOverride
-		if cls == nil {
-			var err error
-			cls, err = NewClassifier(opts.Backend, opts.Bundle)
-			if err != nil {
-				panic("pipeline: " + err.Error())
-			}
-		}
+		cls := opts.classifier()
 		res.RingsFirstBkg = len(rings)
 		prev := loc.Dir
 		for it := 0; it < opts.MaxNNIters; it++ {
@@ -516,13 +524,20 @@ func ApplyDEtaWith(p *par.Pool, bundle *models.Bundle, rings []*recon.Ring, pola
 // widths feed an uncertainty product (credible regions, error radii) rather
 // than the point-estimate's relative weighting, where ApplyDEtaWith's
 // widening-only policy preserves accuracy better. ProductRings applies it
-// to copies of a result's rings.
+// to copies of a result's rings. Inference runs on the process-default
+// worker pool.
 func ApplyDEtaCalibrated(bundle *models.Bundle, rings []*recon.Ring, polarGuess float64) {
+	applyDEtaCalibrated(nil, bundle, rings, polarGuess)
+}
+
+// applyDEtaCalibrated is ApplyDEtaCalibrated with inference sharded over p
+// (nil means the process-default pool).
+func applyDEtaCalibrated(p *par.Pool, bundle *models.Bundle, rings []*recon.Ring, polarGuess float64) {
 	if len(rings) == 0 {
 		return
 	}
 	floor := DefaultOptions().DEtaFloor
-	nnWidth, med := dEtaPredictions(nil, bundle, rings, polarGuess)
+	nnWidth, med := dEtaPredictions(p, bundle, rings, polarGuess)
 	for i, r := range rings {
 		d := med * r.DEta
 		if nnWidth[i] > d {
@@ -535,15 +550,21 @@ func ApplyDEtaCalibrated(bundle *models.Bundle, rings []*recon.Ring, polarGuess 
 	}
 }
 
-// BackgroundProbs evaluates the bundle's background classifier on rings at
-// the given polar-angle guess, returning one probability per ring. Used by
-// sky-map products that weight rings by their background likelihood.
-// Inference is sharded over the process-default worker pool.
+// BackgroundProbs evaluates the bundle's float32 background network on
+// rings at the given polar-angle guess, returning one probability per
+// ring. Inference is sharded over the process-default worker pool.
+// ProductRings evaluates the classifier of the run that produced a result
+// instead, so a product follows the run's backend.
 func BackgroundProbs(bundle *models.Bundle, rings []*recon.Ring, polarGuess float64) []float64 {
-	pool := par.NewPool(0)
+	return backgroundProbs(par.NewPool(0), FP32Classifier{Net: bundle.Bkg}, bundle, rings, polarGuess)
+}
+
+// backgroundProbs evaluates cls on rings' normalized features at the given
+// polar-angle guess, sharded over pool.
+func backgroundProbs(pool *par.Pool, cls BkgClassifier, bundle *models.Bundle, rings []*recon.Ring, polarGuess float64) []float64 {
 	x := features.MatrixWith(pool, rings, polarGuess, bundle.WithPolar)
 	bundle.BkgNorm.ApplyWith(pool, x)
-	probs := parallelProbs(FP32Classifier{Net: bundle.Bkg}, x, pool)
+	probs := parallelProbs(cls, x, pool)
 	out := make([]float64, len(probs))
 	for i, p := range probs {
 		out[i] = float64(p)
@@ -552,13 +573,16 @@ func BackgroundProbs(bundle *models.Bundle, rings []*recon.Ring, polarGuess floa
 }
 
 // ProductRings returns the inputs of an uncertainty product (a sky map or
-// credible region) for a localized result: copies of res.ActiveRings with
-// ApplyDEtaCalibrated's honest widths, and each ring's background
-// probability at the result's polar angle. Without a bundle the widths are
-// already final, so the result's own rings are returned with nil
-// probabilities. res is never modified.
-func ProductRings(bundle *models.Bundle, res *Result) ([]*recon.Ring, []float64) {
-	if bundle == nil {
+// credible region) for a result that Run produced under opts: copies of
+// res.ActiveRings with ApplyDEtaCalibrated's honest widths, and each ring's
+// background probability at the result's polar angle. The probabilities
+// come from the classifier the run evaluated (opts.BkgOverride, else
+// opts.Backend's network) on a pool bounded by opts.Workers; of opts only
+// Bundle, BkgOverride, Backend and Workers are read. Without a bundle the
+// widths are already final, so the result's own rings are returned with
+// nil probabilities. res is never modified.
+func ProductRings(opts Options, res *Result) ([]*recon.Ring, []float64) {
+	if opts.Bundle == nil {
 		return res.ActiveRings, nil
 	}
 	rings := make([]*recon.Ring, len(res.ActiveRings))
@@ -566,9 +590,10 @@ func ProductRings(bundle *models.Bundle, res *Result) ([]*recon.Ring, []float64)
 		c := *r
 		rings[i] = &c
 	}
+	pool := par.NewPool(opts.Workers)
 	polar := polarDeg(res.Loc.Dir)
-	ApplyDEtaCalibrated(bundle, rings, polar)
-	return rings, BackgroundProbs(bundle, rings, polar)
+	applyDEtaCalibrated(pool, opts.Bundle, rings, polar)
+	return rings, backgroundProbs(pool, opts.classifier(), opts.Bundle, rings, polar)
 }
 
 // dEtaPredictions returns the network's per-ring width predictions and the

@@ -506,7 +506,10 @@ func (s *Server) handleSkymap(w http.ResponseWriter, r *http.Request) {
 		QueueMs: wait.Seconds() * 1e3,
 	}
 	if res.Loc.OK {
-		rings, probs := pipeline.ProductRings(set.bundle, &res)
+		// The product's background weights come from the run's classifier:
+		// the model set's batcher, bounded by the instrument's workers.
+		popts := pipeline.Options{Bundle: set.bundle, BkgOverride: set.classifier(), Workers: s.inst.Workers}
+		rings, probs := pipeline.ProductRings(popts, &res)
 		opts := skymap.Options{
 			Temperature:  req.Temperature,
 			CoarseBands:  req.CoarseBands,

@@ -61,9 +61,7 @@ func (g *Grid) NumPixels() int { return g.total }
 
 // Dir returns the center direction of pixel i.
 func (g *Grid) Dir(i int) geom.Vec {
-	band := sort.Search(g.NBands, func(b int) bool {
-		return g.bandStart[b]+g.bandPix[b] > i
-	})
+	band := g.Band(i)
 	j := i - g.bandStart[band]
 	theta := (float64(band) + 0.5) / float64(g.NBands) * math.Pi / 2
 	phi := (float64(j) + 0.5) / float64(g.bandPix[band]) * 2 * math.Pi
@@ -93,13 +91,25 @@ func (g *Grid) Find(d geom.Vec) int {
 }
 
 // PixelSr returns pixel i's solid angle in steradians (exact per band).
-func (g *Grid) PixelSr(i int) float64 {
-	band := sort.Search(g.NBands, func(b int) bool {
+func (g *Grid) PixelSr(i int) float64 { return g.BandPixelSr(g.Band(i)) }
+
+// Band returns the polar band containing pixel i.
+func (g *Grid) Band(i int) int {
+	return sort.Search(g.NBands, func(b int) bool {
 		return g.bandStart[b]+g.bandPix[b] > i
 	})
-	t0 := float64(band) / float64(g.NBands) * math.Pi / 2
-	t1 := float64(band+1) / float64(g.NBands) * math.Pi / 2
-	return 2 * math.Pi * (math.Cos(t0) - math.Cos(t1)) / float64(g.bandPix[band])
+}
+
+// BandPixels returns the index of band b's first pixel and its pixel
+// count.
+func (g *Grid) BandPixels(b int) (start, n int) { return g.bandStart[b], g.bandPix[b] }
+
+// BandPixelSr returns the solid angle in steradians of every pixel of band
+// b: PixelSr of any pixel in b.
+func (g *Grid) BandPixelSr(b int) float64 {
+	t0 := float64(b) / float64(g.NBands) * math.Pi / 2
+	t1 := float64(b+1) / float64(g.NBands) * math.Pi / 2
+	return 2 * math.Pi * (math.Cos(t0) - math.Cos(t1)) / float64(g.bandPix[b])
 }
 
 // LikelihoodEvaluator returns the rings' joint robust log-likelihood as a

@@ -159,11 +159,10 @@ type Map struct {
 	Tiles []Tile
 
 	// Derived lookup state (set by Build and Decode, never serialized):
-	// the shared grids and tile membership of the map's geometry, the
-	// fine-pixel lookup, and the cells ranked for the credible contours.
+	// the shared grids and tile membership of the map's geometry, and the
+	// cells ranked for the credible contours.
 	*geometry
-	fineVal map[int]uint16
-	rank    ranking
+	rank ranking
 }
 
 // geometry is the grid pair of one (CoarseBands, RefineFactor) and its
@@ -196,18 +195,25 @@ func geometryOf(coarseBands, refineFactor int) *geometry {
 	return newGeometry(coarseBands, refineFactor)
 }
 
-// finish builds the fine-pixel lookup from the tiles and ranks the cells;
-// the geometry must be set.
+// finish ranks the cells; the geometry must be set.
 func (m *Map) finish() {
-	m.fineVal = make(map[int]uint16)
-	for _, t := range m.Tiles {
-		for k, j := range m.members[t.Coarse] {
-			if k < len(t.Values) {
-				m.fineVal[j] = t.Values[k]
-			}
-		}
-	}
 	m.rank = m.rankCells()
+}
+
+// fineValue returns fine pixel j's quantized value when j lies in a
+// refined tile. Membership is tileMembers' assignment — the coarse pixel
+// containing j's center — so j sits in that tile's ascending member list.
+func (m *Map) fineValue(j int) (uint16, bool) {
+	c := m.coarse.Find(m.fine.Dir(j))
+	ti, ok := slices.BinarySearchFunc(m.Tiles, c, func(t Tile, c int) int { return cmp.Compare(t.Coarse, c) })
+	if !ok {
+		return 0, false
+	}
+	k, ok := slices.BinarySearch(m.members[c], j)
+	if !ok || k >= len(m.Tiles[ti].Values) {
+		return 0, false
+	}
+	return m.Tiles[ti].Values[k], true
 }
 
 // tileMembers assigns every fine pixel to the coarse pixel containing its
@@ -436,19 +442,49 @@ func (m *Map) cells() []cell {
 	}
 	floor := float64(m.LogFloor)
 	out := make([]cell, 0, len(m.Coarse)-len(m.Tiles)+m.NumFine())
+	coarseSr, fineSr := newBandSr(m.coarse), newBandSr(m.fine)
 	for i, q := range m.Coarse {
 		if refined[i] {
 			continue
 		}
-		out = append(out, cell{logd: dequantize(int(q), 255, floor), sr: m.coarse.PixelSr(i), idx: i})
+		out = append(out, cell{logd: dequantize(int(q), 255, floor), sr: coarseSr.of(i), idx: i})
 	}
 	for _, t := range m.Tiles {
 		mem := m.members[t.Coarse]
 		for k, q := range t.Values {
-			out = append(out, cell{logd: dequantize(int(q), 65535, floor), sr: m.fine.PixelSr(mem[k]), fine: true, idx: mem[k]})
+			out = append(out, cell{logd: dequantize(int(q), 65535, floor), sr: fineSr.of(mem[k]), fine: true, idx: mem[k]})
 		}
 	}
 	return out
+}
+
+// bandSr gives a grid's pixel solid angles from one BandPixelSr value per
+// band, remembering the pixel range of the last band it looked up: cells
+// asks in ascending runs, so the band search runs once per band change,
+// not once per pixel. The values are PixelSr's bit for bit.
+type bandSr struct {
+	g          *sky.Grid
+	sr         []float64 // per band
+	band       int
+	start, end int // pixel range of band
+}
+
+func newBandSr(g *sky.Grid) *bandSr {
+	b := &bandSr{g: g, sr: make([]float64, g.NBands)}
+	for i := range b.sr {
+		b.sr[i] = g.BandPixelSr(i)
+	}
+	return b
+}
+
+// of returns pixel i's solid angle.
+func (b *bandSr) of(i int) float64 {
+	if i < b.start || i >= b.end {
+		b.band = b.g.Band(i)
+		start, n := b.g.BandPixels(b.band)
+		b.start, b.end = start, start+n
+	}
+	return b.sr[b.band]
 }
 
 const deg2PerSr = (180 / math.Pi) * (180 / math.Pi)
@@ -530,7 +566,7 @@ func (m *Map) CredibleAreaDeg2(p float64) float64 {
 // at direction d: the fine layer where d falls inside an evaluated fine
 // pixel, the coarse context layer elsewhere.
 func (m *Map) LogDensity(d geom.Vec) float64 {
-	if q, ok := m.fineVal[m.fine.Find(d)]; ok {
+	if q, ok := m.fineValue(m.fine.Find(d)); ok {
 		return dequantize(int(q), 65535, float64(m.LogFloor))
 	}
 	return dequantize(int(m.Coarse[m.coarse.Find(d)]), 255, float64(m.LogFloor))

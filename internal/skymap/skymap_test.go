@@ -144,7 +144,7 @@ func TestRefinementCoversPeak(t *testing.T) {
 	if len(m.Tiles) == 0 {
 		t.Fatal("no refined tiles on a concentrated posterior")
 	}
-	if _, ok := m.fineVal[m.fine.Find(m.Peak())]; !ok {
+	if _, ok := m.fineValue(m.fine.Find(m.Peak())); !ok {
 		t.Error("peak direction not covered by a fine tile")
 	}
 	// Fine pixels at the mode sharpen the resolution: the fine grid has

@@ -1,12 +1,17 @@
 package stream
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/features"
+	"repro/internal/geom"
 	"repro/internal/models"
 	"repro/internal/pipeline"
+	"repro/internal/recon"
+	"repro/internal/skymap"
 )
 
 // quantBundle trains a PTQ-quantized bundle once for the backend tests.
@@ -73,6 +78,57 @@ func TestBackendAlertParity(t *testing.T) {
 		}
 		if !i8[k].Result.Loc.OK {
 			t.Errorf("alert %d: int8 alert not localized", k)
+		}
+	}
+}
+
+// TestSkyMapFollowsBackend: an alert's sky map weights its rings with the
+// background classifier its run used. Under int8 the payload must equal
+// skymap.FromRings built from the int8 net's probabilities, and the
+// float32-weighted map must differ from it, or the check could not tell
+// the backends apart.
+func TestSkyMapFollowsBackend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains networks")
+	}
+	b := quantBundle(t)
+	events, meanRate := simSession(t, 13)
+	cfg := DefaultConfig(meanRate)
+	cfg.Seed = 42
+	cfg.Bundle = b
+	cfg.Backend = pipeline.BackendInt8
+	cfg.SkyMap = true
+	cfg.Workers = 2
+	alerts := Run(cfg, events)
+	if len(alerts) == 0 {
+		t.Fatal("no alerts; burst not detected")
+	}
+	for k, a := range alerts {
+		if !a.Result.Loc.OK {
+			continue
+		}
+		rings := make([]*recon.Ring, len(a.Result.ActiveRings))
+		for i, r := range a.Result.ActiveRings {
+			c := *r
+			rings[i] = &c
+		}
+		polar := geom.Deg(geom.Polar(a.Result.Loc.Dir))
+		pipeline.ApplyDEtaCalibrated(b, rings, polar)
+		x := features.Matrix(rings, polar, b.WithPolar)
+		b.BkgNorm.Apply(x)
+		int8Probs := make([]float64, x.Rows)
+		for i, p := range b.Int8.Probs(x) {
+			int8Probs[i] = float64(p)
+		}
+		build := func(probs []float64) []byte {
+			return skymap.FromRings(&cfg.Loc, rings, probs, skymap.Options{}).Encode()
+		}
+		want := build(int8Probs)
+		if !bytes.Equal(a.SkyMapPayload, want) {
+			t.Errorf("alert %d: int8 payload differs from the map weighted by the int8 net", k)
+		}
+		if bytes.Equal(build(pipeline.BackgroundProbs(b, rings, polar)), want) {
+			t.Errorf("alert %d: float32 and int8 weights give the same map; the check cannot tell them apart", k)
 		}
 	}
 }

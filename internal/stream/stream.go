@@ -543,7 +543,7 @@ func (p *Processor) fire() {
 		Result:           res,
 	}
 	if p.cfg.SkyMap && res.Loc.OK {
-		rings, probs := pipeline.ProductRings(p.cfg.Bundle, &res)
+		rings, probs := pipeline.ProductRings(opts, &res)
 		sopts := p.cfg.SkyMapOpts
 		if sopts.Workers == 0 {
 			sopts.Workers = p.cfg.Workers
