@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench cover fmt vet lint serve-smoke fleet-smoke stream-smoke merge-smoke backend-parity skymap-smoke chaos-smoke downlink-smoke fuzz-smoke check clean
+.PHONY: all build test race bench cover fmt vet lint fuzz-smoke check clean
 
 all: build test
 
@@ -11,7 +11,8 @@ all: build test
 build:
 	$(GO) build ./...
 
-## test: run the full test suite (tier-1 verify: make build test)
+## test: run the full test suite (tier-1 verify: make build test); the root
+## package's TestCrossPathEquivalence and TestCLI are the end-to-end checks
 test:
 	$(GO) test ./...
 
@@ -54,49 +55,6 @@ lint: vet
 	else \
 		echo "lint: govulncheck not installed; skipping (CI runs it)"; \
 	fi
-
-## serve-smoke: end-to-end adaptserve smoke test (CI serve-smoke job)
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-## fleet-smoke: 3-replica fleet behind adaptrouter — bitwise routed-vs-direct
-## and hit-vs-miss comparisons, zero failed requests while a replica is
-## kill -9ed mid-load, ejection visible in /metrics (CI fleet-smoke job)
-fleet-smoke:
-	./scripts/fleet_smoke.sh
-
-## stream-smoke: record→crash→replay adaptstream smoke test (CI stream-smoke job)
-stream-smoke:
-	./scripts/stream_smoke.sh
-
-## merge-smoke: split→skew→merge bitwise-alert smoke test (CI merge-smoke job)
-merge-smoke:
-	./scripts/merge_smoke.sh
-
-## backend-parity: golden-scenario parity across the float32 and int8
-## backends — exact trigger identity, bitwise int8 agreement across worker
-## counts, bounded localization drift (CI backend-parity job)
-backend-parity:
-	./scripts/backend_parity.sh
-
-## skymap-smoke: downlink sky-map determinism end to end — journal replay
-## reproduces alert map payloads bitwise at any worker count, adaptmap
-## round-trips every payload exactly, and /v1/skymap through adaptrouter is
-## bitwise-identical and cacheable (CI skymap-smoke job)
-skymap-smoke:
-	./scripts/skymap_smoke.sh
-
-## chaos-smoke: run the built-in multi-fault "flight" chaos scenario through
-## adaptsim -scenario and require the mission scorecard and alert records to
-## reproduce bitwise across runs and worker counts (CI chaos-smoke job)
-chaos-smoke:
-	./scripts/chaos_smoke.sh
-
-## downlink-smoke: journal + alerts through an emulated 10% lossy downlink —
-## ground artifacts byte-identical to onboard, nonzero retransmits, and the
-## adaptlink transmit/receive/emulate paths agree (CI downlink-smoke job)
-downlink-smoke:
-	./scripts/downlink_smoke.sh
 
 ## fuzz-smoke: short native-fuzz runs of the untrusted-input decoders and
 ## the int8 requantization and packed-panel, float32, localization-likelihood

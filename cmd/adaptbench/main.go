@@ -13,16 +13,13 @@ package main
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
 	"log"
 	"os"
-	"runtime/pprof"
 	"strings"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/expt"
-	"repro/internal/par"
 	"repro/internal/plot"
 )
 
@@ -45,33 +42,19 @@ func maybePlot(w io.Writer, enabled bool, title, xlabel string, series []expt.Se
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptbench: ")
 	scaleName := flag.String("scale", "", "workload scale: ci, default, or full (overrides ADAPT_SCALE)")
 	only := flag.String("only", "", "run one experiment: fig4, fig7, fig8, fig9, fig10, fig11, table1, table2, table3, ablations, apt, pileup, quant, coverage")
 	jsonPath := flag.String("json", "", "also write the experiment data as JSON to this file")
 	plots := flag.Bool("plots", false, "render ASCII charts of figure series (with -only fig…)")
-	parallelism := flag.Int("parallelism", 0, "default worker count for parallel pipeline stages (0 = GOMAXPROCS, 1 = serial; Tables I/II pin their own)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Line("adaptbench"))
-		return
-	}
+	cli.Parallelism()
+	profile := cli.CPUProfile()
+	cli.Parse("adaptbench")
 
-	par.SetDefaultWorkers(*parallelism)
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := profile.Start()
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer stop()
 
 	sc := expt.CurrentScale()
 	if *scaleName != "" {

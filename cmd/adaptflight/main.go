@@ -16,11 +16,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime/pprof"
 
 	"repro/adapt"
-	"repro/internal/buildinfo"
 	"repro/internal/campaign"
+	"repro/internal/cli"
 )
 
 type alertRecord struct {
@@ -33,64 +32,38 @@ type alertRecord struct {
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptflight: ")
 	bursts := flag.Int("bursts", 30, "number of bursts to inject")
 	seed := flag.Uint64("seed", 1, "campaign seed")
-	modelPath := flag.String("models", "", "trained model bundle (empty = no-ML pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
+	modelFlags := cli.ModelFlags()
 	alertsPath := flag.String("alerts", "", "write per-burst outcomes as JSON lines to this file")
 	quiet := flag.Float64("quiet", 2, "quiet seconds around each burst")
-	parallelism := flag.Int("parallelism", 0, "worker count for the per-trial fan-out (0 = GOMAXPROCS, 1 = serial; outcomes identical either way)")
-	report := flag.Bool("report", false, "print the per-stage latency report accumulated across all trials")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Line("adaptflight"))
-		return
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	backend, err := adapt.ParseBackend(*backendName)
+	workers := cli.Parallelism()
+	metricsFlags := cli.MetricsFlags(false)
+	profile := cli.CPUProfile()
+	cli.Parse("adaptflight")
+	stop, err := profile.Start()
 	if err != nil {
-		log.Fatalf("%v", err)
+		log.Fatal(err)
+	}
+	defer stop()
+	bundle, backend, err := modelFlags.Load()
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	adapt.SetDefaultParallelism(*parallelism)
 	metrics := adapt.NewMetrics()
 	cfg := campaign.DefaultConfig(*seed)
 	cfg.Bursts = *bursts
 	cfg.QuietSecondsPerBurst = *quiet
-	cfg.Workers = *parallelism
+	cfg.Workers = *workers
 	cfg.Backend = backend
+	cfg.Bundle = bundle
 	cfg.Metrics = metrics
-	if *modelPath != "" {
-		m, err := adapt.LoadModels(*modelPath)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		cfg.Bundle = m
-	}
-	if _, err := adapt.NewClassifier(backend, cfg.Bundle); err != nil {
-		log.Fatalf("%v", err)
-	}
 
 	res := campaign.Run(cfg, os.Stdout)
 	fmt.Printf("estimated 90%%-efficiency sensitivity: %.2f MeV/cm²\n", res.SensitivityFluence())
-	if *report {
-		metrics.WriteText(os.Stdout)
+	if err := metricsFlags.Write(metrics); err != nil {
+		log.Fatal(err)
 	}
 
 	if *alertsPath != "" {

@@ -31,14 +31,12 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/downlink"
 	"repro/internal/flightlog"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptlink: ")
 
 	mode := flag.String("mode", "emulate", "transmit, receive, or emulate")
 	journalDir := flag.String("journal", "", "flight journal directory to downlink (transmit, emulate)")
@@ -58,13 +56,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "link fault seed (emulate)")
 	deadline := flag.Float64("deadline", 3600, "drain deadline in event-time seconds (emulate)")
 	statsPath := flag.String("stats", "", "write session stats JSON here (default <ground>/downlink_stats.json)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-
-	if *version {
-		fmt.Println(buildinfo.Line("adaptlink"))
-		return
-	}
+	cli.Parse("adaptlink")
 
 	switch *mode {
 	case "transmit":

@@ -15,75 +15,46 @@ import (
 	"log"
 	"math"
 	"os"
-	"runtime/pprof"
 
 	"repro/adapt"
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/evio"
 	"repro/internal/geom"
 	"repro/internal/plot"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptloc: ")
 	fluence := flag.Float64("fluence", 1.0, "burst fluence in MeV/cm²")
 	polar := flag.Float64("polar", 0, "source polar angle in degrees")
 	azimuth := flag.Float64("azimuth", 30, "source azimuth in degrees")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	modelPath := flag.String("models", "", "trained model bundle (empty = no-ML pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
+	modelFlags := cli.ModelFlags()
 	eventsPath := flag.String("events", "", "read events from an evio file (written by adaptsim -binary) instead of simulating")
 	skymap := flag.Bool("skymap", false, "build the alert's downlink sky-map payload: print its 68%/90% credible areas and size, and render it")
 	skymapTemp := flag.Float64("skymap-temp", 0, "sky-map tempering temperature (0 = the calibrated default, 1 = statistical-only)")
-	parallelism := flag.Int("parallelism", 0, "worker count for the parallel pipeline stages (0 = GOMAXPROCS, 1 = serial)")
+	workers := cli.Parallelism()
 	repeat := flag.Int("repeat", 1, "run the pipeline this many times (same events; use with -report for stable stage statistics)")
-	report := flag.Bool("report", false, "print the per-stage latency report (mean/p50/p90/p99 per stage) after the run")
-	metricsJSON := flag.String("metrics-json", "", "also write the stage metrics as JSON to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Line("adaptloc"))
-		return
-	}
+	metricsFlags := cli.MetricsFlags(true)
+	profile := cli.CPUProfile()
+	cli.Parse("adaptloc")
 	if *skymapTemp < 0 {
 		log.Fatal("-skymap-temp must be >= 0 (0 = calibrated default)")
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	backend, err := adapt.ParseBackend(*backendName)
+	stop, err := profile.Start()
 	if err != nil {
-		log.Fatalf("%v", err)
+		log.Fatal(err)
+	}
+	defer stop()
+	m, backend, err := modelFlags.Load()
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	adapt.SetDefaultParallelism(*parallelism)
 	inst := adapt.DefaultInstrument()
-	inst.Workers = *parallelism
+	inst.Workers = *workers
 	inst.Backend = backend
 	metrics := adapt.NewMetrics()
 	inst.Metrics = metrics
-	var m *adapt.Models
-	if *modelPath != "" {
-		m, err = adapt.LoadModels(*modelPath)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-	}
-	if _, err := adapt.NewClassifier(backend, m); err != nil {
-		log.Fatalf("%v", err)
-	}
 
 	var events []*adapt.Event
 	var truth *geom.Vec
@@ -144,21 +115,11 @@ func main() {
 		res.Timing.ApproxRefine.Seconds()*1e3,
 		res.Timing.Total.Seconds()*1e3)
 
-	if *report {
-		metrics.WriteText(os.Stdout)
+	if err := metricsFlags.Write(metrics); err != nil {
+		log.Fatal(err)
 	}
-	if *metricsJSON != "" {
-		f, err := os.Create(*metricsJSON)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := metrics.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote stage metrics to %s", *metricsJSON)
+	if metricsFlags.JSONPath != "" {
+		log.Printf("wrote stage metrics to %s", metricsFlags.JSONPath)
 	}
 
 	if *skymap {

@@ -27,7 +27,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/geom"
 	"repro/internal/plot"
 	"repro/internal/sky"
@@ -36,20 +36,12 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptmap: ")
 	b64 := flag.String("b64", "", "decode this base64 payload string instead of a file")
 	alerts := flag.String("alerts", "", "decode the skymap_b64 payload of every record in this alerts JSONL file")
 	levels := flag.String("levels", "0.50,0.68,0.90,0.95,0.99", "comma-separated credible levels for the area table")
 	render := flag.Bool("render", true, "print the ASCII posterior rendering")
 	size := flag.Int("size", 27, "rendering diameter in characters")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-
-	if *version {
-		fmt.Println(buildinfo.Line("adaptmap"))
-		return
-	}
+	cli.Parse("adaptmap")
 
 	ps, err := parseLevels(*levels)
 	if err != nil {

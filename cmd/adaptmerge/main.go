@@ -26,26 +26,20 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/adapt"
-	"repro/internal/background"
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/detector"
-	"repro/internal/flightlog"
 	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/stream"
-	"repro/internal/xrand"
 )
 
 // srcSpec is one parsed -src flag.
@@ -81,9 +75,6 @@ func (s *srcFlags) Set(v string) error {
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptmerge: ")
-
 	var srcs srcFlags
 	flag.Var(&srcs, "src", "event source, journal:DIR or evio:FILE with optional @clock-offset-seconds (repeatable)")
 
@@ -95,38 +86,20 @@ func main() {
 
 	// Live-sim mode.
 	sim := flag.Int("sim", 0, "live mode: simulate this many detector segments pushing one exposure concurrently")
-	exposure := flag.Float64("exposure", 3.0, "live mode: simulated exposure length in seconds")
-	burstAt := flag.String("burst-at", "1.2", "live mode: comma-separated burst start times in seconds")
-	fluence := flag.Float64("fluence", 2.0, "live mode: fluence of each injected burst in MeV/cm²")
-	polar := flag.Float64("polar", 20, "live mode: burst polar angle in degrees")
-	azimuth := flag.Float64("azimuth", 130, "live mode: burst azimuth in degrees")
+	exposure := cli.ExposureFlags()
 
 	// Merge tuning.
 	buffer := flag.Int("buffer", 1024, "per-source prefetch buffer in events")
 	stall := flag.Duration("stall-timeout", 0, "age a silent source out of the watermark after this long (0 = wait forever)")
 
-	// Trigger configuration (mirrors adaptstream).
+	// Trigger configuration and outputs (shared with adaptstream).
 	seed := flag.Uint64("seed", 1, "simulation and localization seed")
-	bkgRate := flag.Float64("bkg-rate", 0, "calibrated background rate in events/s (0 = calibrate from a seeded 1 s background simulation)")
-	sigma := flag.Float64("sigma", 8, "trigger significance threshold in Poisson sigma")
-	window := flag.Float64("window", 0.1, "trigger sliding-window width in seconds")
-	modelPath := flag.String("model", "", "model bundle for the ML pipeline (empty = analytic pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
-	parallelism := flag.Int("parallelism", 0, "worker goroutines for localization (0 = GOMAXPROCS)")
+	trigger := cli.TriggerFlags()
+	modelFlags := cli.ModelFlags()
+	workers := cli.Parallelism()
+	metrics := cli.MetricsFlags(true)
+	cli.Parse("adaptmerge")
 
-	// Recording and output.
-	journalDir := flag.String("journal", "", "record the fused event sequence to a canonical flight journal in this directory")
-	fsync := flag.String("fsync", "interval", "journal durability: always, interval, or none")
-	alertsPath := flag.String("alerts", "", "write alert records as JSON lines to this file (default stdout)")
-	report := flag.Bool("report", false, "print the metrics report to stderr when done")
-	metricsJSON := flag.String("metrics-json", "", "write the metrics registry as JSON to this file")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-
-	if *version {
-		fmt.Println(buildinfo.Line("adaptmerge"))
-		return
-	}
 	if *split > 0 {
 		runSplit(srcs, *split, *out, *skews, *splitSeed)
 		return
@@ -137,76 +110,29 @@ func main() {
 	if *sim == 0 && len(srcs) == 0 {
 		log.Fatal("no input: pass -src (repeatable) or -sim k")
 	}
-	if *parallelism > 0 {
-		adapt.SetDefaultParallelism(*parallelism)
-	}
-
-	backend, err := adapt.ParseBackend(*backendName)
+	bundle, backend, err := modelFlags.Load()
 	if err != nil {
-		log.Fatalf("%v", err)
+		log.Fatal(err)
 	}
-
-	var bundle *adapt.Models
-	if *modelPath != "" {
-		m, err := adapt.LoadModels(*modelPath)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		bundle = m
+	cfg, err := trigger.Config(*seed)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if _, err := adapt.NewClassifier(backend, bundle); err != nil {
-		log.Fatalf("%v", err)
-	}
-
-	det := detector.DefaultConfig()
-	bg := background.DefaultModel()
-	rate := *bkgRate
-	if rate <= 0 {
-		// Same calibration convention as adaptstream, so a merged run and a
-		// single-source run of the same exposure share a trigger config.
-		rate = float64(len(bg.Simulate(&det, 1.0, xrand.New(*seed).Split(0xCA1))))
-		fmt.Fprintf(os.Stderr, "adaptmerge: calibrated background rate %.0f events/s\n", rate)
-	}
-
 	reg := obs.NewRegistry()
-	cfg := stream.DefaultConfig(rate)
 	cfg.Bundle = bundle
 	cfg.Backend = backend
-	cfg.Seed = *seed
 	cfg.Metrics = reg
-	cfg.SigmaThreshold = *sigma
-	cfg.WindowSec = *window
-	cfg.Workers = *parallelism
-	cfg.AlertBuffer = 1024
-
-	var journal *flightlog.Journal
-	if *journalDir != "" {
-		pol, err := syncPolicy(*fsync)
-		if err != nil {
-			log.Fatal(err)
-		}
-		journal, err = flightlog.Open(flightlog.Options{Dir: *journalDir, Sync: pol})
-		if err != nil {
-			log.Fatalf("open journal: %v", err)
-		}
-		cfg.Journal = journal
-	}
-
-	outW := os.Stdout
-	if *alertsPath != "" {
-		f, err := os.Create(*alertsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		outW = f
-	}
+	cfg.Workers = *workers
 
 	// Assemble the merge sources.
 	mcfg := merge.Config{BufferEvents: *buffer, StallTimeout: *stall, Metrics: reg}
 	switch {
 	case *sim > 0:
-		mcfg.Sources = simSources(&det, bg, *sim, *exposure, *burstAt, *fluence, *polar, *azimuth, *seed, *buffer)
+		events, err := exposure.Simulate(*seed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		mcfg.Sources = simSources(events, *sim, *buffer)
 	default:
 		for i, spec := range srcs {
 			var feed merge.Feed
@@ -233,30 +159,18 @@ func main() {
 	}
 
 	p := stream.New(cfg)
-	enc := json.NewEncoder(outW)
-	drained := make(chan int)
-	go func() {
-		n := 0
-		for a := range p.Alerts() {
-			if err := enc.Encode(a.Record()); err != nil {
-				log.Fatal(err)
-			}
-			n++
-		}
-		drained <- n
-	}()
-
+	wait, err := trigger.WriteAlerts(p.Alerts())
+	if err != nil {
+		log.Fatal(err)
+	}
 	mergeErr := merger.Run(func(ev *detector.Event) { p.Ingest(ev) })
 	p.Close()
-	nAlerts := <-drained
-
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			log.Fatalf("close journal: %v", err)
-		}
-		st := journal.Stats()
-		fmt.Fprintf(os.Stderr, "adaptmerge: canonical journal: %d records in %d segment(s), %d bytes\n",
-			st.Appended, st.Segments, st.TotalBytes)
+	recs, err := wait()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := cli.CloseJournal(cfg.Journal, "canonical journal"); err != nil {
+		log.Fatal(err)
 	}
 	for _, st := range merger.Stats() {
 		fmt.Fprintf(os.Stderr,
@@ -267,20 +181,11 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 	}
-	fmt.Fprintf(os.Stderr, "adaptmerge: %d event(s) fused (%d late-dropped), %d alert(s) out\n",
-		merger.EventsOut(), merger.LateDropped(), nAlerts)
+	log.Printf("%d event(s) fused (%d late-dropped), %d alert(s) out",
+		merger.EventsOut(), merger.LateDropped(), len(recs))
 
-	if *report {
-		reg.WriteText(os.Stderr)
-	}
-	if *metricsJSON != "" {
-		blob, err := json.MarshalIndent(reg, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*metricsJSON, append(blob, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
+	if err := metrics.Write(reg); err != nil {
+		log.Fatal(err)
 	}
 	if mergeErr != nil {
 		log.Fatalf("merge finished with source failures: %v", mergeErr)
@@ -323,13 +228,12 @@ func runSplit(srcs srcFlags, k int, out, skews string, seed uint64) {
 	fmt.Fprintf(os.Stderr, "adaptmerge: split %d record(s) into %d journal(s)\n", st.Records, k)
 }
 
-// simSources simulates one exposure, deals its events round-robin to k
+// simSources deals one simulated exposure's events round-robin to k
 // live push feeds, and starts one pushing goroutine per segment — k
 // detector panels streaming concurrently with arbitrary interleaving. The
 // fused output is still deterministic: the watermark orders by event time,
 // not arrival.
-func simSources(det *detector.Config, bg background.Model, k int, exposure float64, burstAt string, fluence, polar, azimuth float64, seed uint64, buffer int) []merge.Source {
-	events := simulate(det, bg, exposure, burstAt, fluence, polar, azimuth, seed)
+func simSources(events []*detector.Event, k, buffer int) []merge.Source {
 	parts := make([][]*detector.Event, k)
 	for i, ev := range events {
 		parts[i%k] = append(parts[i%k], ev)
@@ -351,42 +255,4 @@ func simSources(det *detector.Config, bg background.Model, k int, exposure float
 		}(parts[i], feed, i)
 	}
 	return sources
-}
-
-func syncPolicy(name string) (flightlog.SyncPolicy, error) {
-	switch name {
-	case "always":
-		return flightlog.SyncAlways, nil
-	case "interval":
-		return flightlog.SyncInterval, nil
-	case "none":
-		return flightlog.SyncNone, nil
-	}
-	return 0, fmt.Errorf("unknown -fsync policy %q (want always, interval, or none)", name)
-}
-
-// simulate builds a live exposure exactly as adaptstream does, so the two
-// binaries produce comparable runs for the same flags.
-func simulate(det *detector.Config, bg background.Model, exposure float64, burstAt string, fluence, polar, azimuth float64, seed uint64) []*detector.Event {
-	rng := xrand.New(seed)
-	events := bg.Simulate(det, exposure, rng)
-	for _, tok := range strings.Split(burstAt, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		t0, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			log.Fatalf("bad -burst-at entry %q: %v", tok, err)
-		}
-		b := detector.Burst{Fluence: fluence, PolarDeg: polar, AzimuthDeg: azimuth}
-		for _, ev := range detector.SimulateBurst(det, b, rng) {
-			ev.ArrivalTime += t0
-			events = append(events, ev)
-		}
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		return events[i].ArrivalTime < events[j].ArrivalTime
-	})
-	return events
 }

@@ -29,7 +29,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"os"
@@ -38,13 +37,11 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/router"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptrouter: ")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	replicas := flag.String("replicas", "", "comma-separated adaptserve base URLs (empty = $ADAPT_REPLICAS)")
 	vnodes := flag.Int("vnodes", 0, "consistent-hash virtual nodes per replica (0 = default 128)")
@@ -57,13 +54,7 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "exact result cache budget in bytes (-1 disables caching)")
 	cacheEntries := flag.Int("cache-entries", 4096, "exact result cache entry bound")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight requests on SIGTERM")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-
-	if *version {
-		fmt.Println(buildinfo.Line("adaptrouter"))
-		return
-	}
+	cli.Parse("adaptrouter")
 
 	list := *replicas
 	if list == "" {
@@ -98,30 +89,17 @@ func main() {
 	// requests route on real information, not cold-start optimism.
 	rt.ProbeNow(context.Background())
 
+	// Catch the signals before announcing the address, so a SIGTERM sent
+	// once "listening on" is logged always drains.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
 	log.Printf("listening on %s, fronting %d replicas: %s", l.Addr(), len(urls), strings.Join(urls, ", "))
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	done := make(chan error, 1)
-	go func() { done <- rt.Serve(l) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-	case sig := <-sigc:
-		log.Printf("%s: draining (timeout %s)", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		err := rt.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			log.Fatalf("drain: %v", err)
-		}
-		<-done
-		log.Printf("drained cleanly")
+	if err := cli.Serve(ctx, rt, l, *drainTimeout); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -36,25 +36,21 @@ import (
 	"time"
 
 	"repro/adapt"
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/evio"
 	"repro/internal/serve"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptserve: ")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	modelPath := flag.String("models", "", "trained model bundle to serve (empty = no-ML pipeline; /admin/reload can load later)")
-	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
-	parallelism := flag.Int("parallelism", 0, "worker count for each request's pipeline stages (0 = GOMAXPROCS, 1 = serial)")
+	modelFlags := cli.ModelFlags()
+	workers := cli.Parallelism()
 	concurrency := flag.Int("concurrency", 0, "max simultaneously computing requests (0 = parallelism default)")
 	queue := flag.Int("queue", 0, "max requests waiting beyond -concurrency before 429 (0 = 4x concurrency)")
 	batchRows := flag.Int("batch-rows", 0, "NN micro-batch size trigger in feature rows (0 = default)")
 	batchWindow := flag.Duration("batch-window", 0, "NN micro-batch deadline trigger (0 = default 2ms)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline when ?deadline_ms absent (0 = 30s)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to drain in-flight requests on SIGTERM")
-	version := flag.Bool("version", false, "print version and exit")
 
 	loadgen := flag.Bool("loadgen", false, "run the load generator instead of (or against) a server")
 	target := flag.String("target", "", "loadgen: base URL of a running adaptserve (empty = start one in-process)")
@@ -66,26 +62,22 @@ func main() {
 	fluence := flag.Float64("fluence", 1.0, "loadgen: simulated burst fluence in MeV/cm²")
 	polar := flag.Float64("polar", 30, "loadgen: simulated burst polar angle in degrees")
 	seed := flag.Uint64("seed", 1, "loadgen: simulation seed")
-	flag.Parse()
+	cli.Parse("adaptserve")
 
-	if *version {
-		fmt.Println(buildinfo.Line("adaptserve"))
-		return
-	}
-
-	backend, err := adapt.ParseBackend(*backendName)
+	bundle, backend, err := modelFlags.Load()
 	if err != nil {
-		log.Fatalf("%v", err)
+		log.Fatal(err)
 	}
-
-	adapt.SetDefaultParallelism(*parallelism)
+	if bundle != nil {
+		log.Printf("loaded models from %s (backend %s)", modelFlags.Path, backend)
+	}
 	inst := adapt.DefaultInstrument()
-	inst.Workers = *parallelism
+	inst.Workers = *workers
 	inst.Backend = backend
-
 	cfg := serve.Config{
 		Instrument:      &inst,
-		ModelPath:       *modelPath,
+		ModelPath:       modelFlags.Path,
+		Bundle:          bundle,
 		Backend:         backend,
 		MaxConcurrent:   *concurrency,
 		QueueDepth:      *queue,
@@ -93,49 +85,24 @@ func main() {
 		BatchWindow:     *batchWindow,
 		DefaultDeadline: *deadline,
 	}
-	if *modelPath != "" {
-		m, err := adapt.LoadModels(*modelPath)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		cfg.Bundle = m
-		log.Printf("loaded models from %s (backend %s)", *modelPath, backend)
-	}
-	if _, err := adapt.NewClassifier(backend, cfg.Bundle); err != nil {
-		log.Fatalf("%v", err)
-	}
 
 	if *loadgen {
 		runLoadgen(cfg, &inst, *target, *targets, *sweep, *qps, *duration, *lgConcurrency, *fluence, *polar, *seed)
 		return
 	}
 
+	// Catch the signals before announcing the address, so a SIGTERM sent
+	// once "listening on" is logged always drains.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 	srv := serve.New(cfg)
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
 	log.Printf("listening on %s", l.Addr())
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-	case sig := <-sigc:
-		log.Printf("%s: draining (timeout %s)", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		err := srv.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			log.Fatalf("drain: %v", err)
-		}
-		<-done
-		log.Printf("drained cleanly")
+	if err := cli.Serve(ctx, srv, l, *drainTimeout); err != nil {
+		log.Fatal(err)
 	}
 }
 

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,8 +27,8 @@ import (
 	"os"
 
 	"repro/adapt"
-	"repro/internal/buildinfo"
 	"repro/internal/chaos"
+	"repro/internal/cli"
 	"repro/internal/evio"
 	"repro/internal/obs"
 	"repro/internal/recon"
@@ -54,9 +55,6 @@ type ringRecord struct {
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptsim: ")
-
 	// Plain-simulation parameters.
 	fluence := flag.Float64("fluence", 1.0, "burst fluence in MeV/cm²")
 	polar := flag.Float64("polar", 0, "source polar angle in degrees (0 = zenith)")
@@ -70,22 +68,13 @@ func main() {
 	scenarioList := flag.Bool("scenario-list", false, "list the built-in chaos scenarios as JSON and exit")
 	scorecardPath := flag.String("scorecard", "", "write the scenario scorecard JSON to this file (default stdout)")
 	alertsPath := flag.String("alerts", "", "write scenario alert records as JSON lines to this file")
-	modelPath := flag.String("model", "", "model bundle for the ML pipeline (empty = analytic pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
-	parallelism := flag.Int("parallelism", 0, "worker goroutines for localization (0 = GOMAXPROCS); scorecards are identical at any setting")
+	modelFlags := cli.ModelFlags()
+	workers := cli.Parallelism()
 	tuneTrigger := flag.Int("tune-trigger", 0, "random-search this many trigger candidates against the scenario objective and emit the best one's scorecard")
 	tuneSeed := flag.Uint64("tune-seed", 1, "trigger-search seed")
+	metrics := cli.MetricsFlags(true)
+	cli.Parse("adaptsim")
 
-	// Observability.
-	report := flag.Bool("report", false, "print the metrics report to stderr when done")
-	metricsJSON := flag.String("metrics-json", "", "write the metrics registry as JSON to this file")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-
-	if *version {
-		fmt.Println(buildinfo.Line("adaptsim"))
-		return
-	}
 	if *scenarioList {
 		listScenarios()
 		return
@@ -93,23 +82,15 @@ func main() {
 
 	reg := obs.NewRegistry()
 	if *scenario != "" {
-		runScenario(reg, *scenario, *seed, *parallelism, *modelPath, *backendName,
-			*scorecardPath, *alertsPath, *tuneTrigger, *tuneSeed)
+		if err := runScenario(reg, *scenario, *seed, *workers, modelFlags,
+			*scorecardPath, *alertsPath, *tuneTrigger, *tuneSeed); err != nil {
+			log.Fatal(err)
+		}
 	} else {
 		runPlain(reg, *fluence, *polar, *azimuth, *seed, *rings, *binOut)
 	}
-
-	if *report {
-		reg.WriteText(os.Stderr)
-	}
-	if *metricsJSON != "" {
-		blob, err := json.MarshalIndent(reg, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*metricsJSON, append(blob, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
+	if err := metrics.Write(reg); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -170,35 +151,24 @@ func loadScenario(arg string) (*chaos.Spec, error) {
 
 // runScenario prepares and runs one chaos scenario (optionally tuning the
 // trigger first) and writes the scorecard and alert records.
-func runScenario(reg *obs.Registry, arg string, seed uint64, parallelism int, modelPath, backendName, scorecardPath, alertsPath string, tuneTrials int, tuneSeed uint64) {
+func runScenario(reg *obs.Registry, arg string, seed uint64, workers int, modelFlags *cli.Models, scorecardPath, alertsPath string, tuneTrials int, tuneSeed uint64) error {
 	spec, err := loadScenario(arg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	backend, err := adapt.ParseBackend(backendName)
+	bundle, backend, err := modelFlags.Load()
 	if err != nil {
-		log.Fatal(err)
-	}
-	var bundle *adapt.Models
-	if modelPath != "" {
-		m, err := adapt.LoadModels(modelPath)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		bundle = m
-	}
-	if parallelism > 0 {
-		adapt.SetDefaultParallelism(parallelism)
+		return err
 	}
 
 	prep, err := chaos.Prepare(spec, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "adaptsim: scenario %q prepared: %d bursts, calibrated quiet rate %.0f events/s\n",
+	log.Printf("scenario %q prepared: %d bursts, calibrated quiet rate %.0f events/s",
 		spec.Name, len(prep.Bursts()), prep.InitialRate())
 
-	opts := chaos.Options{Workers: parallelism, Bundle: bundle, Backend: backend, Metrics: reg}
+	opts := chaos.Options{Workers: workers, Bundle: bundle, Backend: backend, Metrics: reg}
 
 	trigger := spec.Trigger
 	if tuneTrials > 0 {
@@ -209,12 +179,10 @@ func runScenario(reg *obs.Registry, arg string, seed uint64, parallelism int, mo
 		results := tune.SearchTrigger(tune.DefaultTriggerSpace(), tune.TriggerOptions{
 			Seed:   tuneSeed,
 			Trials: tuneTrials,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "adaptsim: "+format+"\n", args...)
-			},
+			Logf:   log.Printf,
 		}, prep.Objective(searchOpts))
 		best := results[0]
-		fmt.Fprintf(os.Stderr, "adaptsim: best trigger: %s (objective %.4f)\n", best.Candidate, best.Score)
+		log.Printf("best trigger: %s (objective %.4f)", best.Candidate, best.Score)
 		if best.Candidate != (tune.TriggerCandidate{}) {
 			trigger = chaos.TriggerSpec{
 				WindowSec:      best.Candidate.WindowSec,
@@ -226,40 +194,32 @@ func runScenario(reg *obs.Registry, arg string, seed uint64, parallelism int, mo
 
 	card, recs, err := prep.RunTrigger(trigger, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if alertsPath != "" {
-		f, err := os.Create(alertsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
 		for _, r := range recs {
 			if err := enc.Encode(r); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
+		if err := os.WriteFile(alertsPath, buf.Bytes(), 0o644); err != nil {
+			return err
 		}
 	}
-
-	out := os.Stdout
 	if scorecardPath != "" {
-		f, err := os.Create(scorecardPath)
-		if err != nil {
-			log.Fatal(err)
+		if err := os.WriteFile(scorecardPath, card.Encode(), 0o644); err != nil {
+			return err
 		}
-		defer f.Close()
-		out = f
+	} else if _, err := os.Stdout.Write(card.Encode()); err != nil {
+		return err
 	}
-	if _, err := out.Write(card.Encode()); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "adaptsim: scenario %q: efficiency %.2f (%d/%d bursts), %d false alert(s) against budget %d, objective %.4f\n",
+	log.Printf("scenario %q: efficiency %.2f (%d/%d bursts), %d false alert(s) against budget %d, objective %.4f",
 		card.Scenario, card.DetectionEfficiency, card.BurstsDetected, card.BurstsInjected,
 		card.FalseAlerts, card.FalseAlertBudget, card.Objective)
+	return nil
 }
 
 // runPlain is the original single-burst simulation mode, now with metrics.

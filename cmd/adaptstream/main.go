@@ -21,162 +21,71 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 
-	"repro/adapt"
-	"repro/internal/background"
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/detector"
 	"repro/internal/downlink"
 	"repro/internal/evio"
 	"repro/internal/flightlog"
 	"repro/internal/obs"
 	"repro/internal/stream"
-	"repro/internal/xrand"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adaptstream: ")
-
 	// Input selection (exactly one source).
 	replayDir := flag.String("replay", "", "replay a flight journal from this directory instead of live input")
 	input := flag.String("input", "", "read events from this evio file instead of simulating")
 
 	// Live-simulation parameters.
-	exposure := flag.Float64("exposure", 3.0, "simulated exposure length in seconds")
-	burstAt := flag.String("burst-at", "1.2", "comma-separated burst start times in seconds (empty = background only)")
-	fluence := flag.Float64("fluence", 2.0, "fluence of each injected burst in MeV/cm²")
-	polar := flag.Float64("polar", 20, "burst polar angle in degrees")
-	azimuth := flag.Float64("azimuth", 130, "burst azimuth in degrees")
+	exposure := cli.ExposureFlags()
 	seed := flag.Uint64("seed", 1, "simulation and localization seed")
 
-	// Trigger configuration.
-	bkgRate := flag.Float64("bkg-rate", 0, "calibrated background rate in events/s (0 = calibrate from a seeded 1 s background simulation)")
-	sigma := flag.Float64("sigma", 8, "trigger significance threshold in Poisson sigma")
-	window := flag.Float64("window", 0.1, "trigger sliding-window width in seconds")
-	modelPath := flag.String("model", "", "model bundle for the ML pipeline (empty = analytic pipeline)")
-	backendName := flag.String("backend", "float32", "inference backend: float32 or int8 (int8 needs a bundle from adapttrain -quantize)")
+	// Trigger configuration and outputs.
+	trigger := cli.TriggerFlags()
+	modelFlags := cli.ModelFlags()
 	lossy := flag.Bool("lossy", false, "use the non-blocking detector-feed path (drops events under overload) instead of lossless ingestion")
-	parallelism := flag.Int("parallelism", 0, "worker goroutines for localization (0 = GOMAXPROCS)")
+	workers := cli.Parallelism()
 	skymap := flag.Bool("skymap", false, "attach a quantized downlink sky-map payload (skymap_b64) plus calibrated credible areas to every alert record")
 	skymapTemp := flag.Float64("skymap-temp", 0, "sky-map tempering temperature (0 = the calibrated default, 1 = statistical-only)")
+	metrics := cli.MetricsFlags(true)
 
 	// Emulated downlink egress.
 	downlinkDir := flag.String("downlink", "", "push alerts and the recorded journal through an emulated lossy downlink, reassembling into this ground directory")
 	downlinkBudget := flag.Float64("downlink-budget", 4096, "downlink bandwidth budget in bytes/s")
 	downlinkLoss := flag.Float64("downlink-loss", 0, "per-frame drop probability on the emulated downlink")
 	downlinkSeed := flag.Uint64("downlink-seed", 1, "downlink fault seed")
+	cli.Parse("adaptstream")
 
-	// Recording and output.
-	journalDir := flag.String("journal", "", "record admitted events to a flight journal in this directory")
-	fsync := flag.String("fsync", "interval", "journal durability: always, interval, or none")
-	alertsPath := flag.String("alerts", "", "write alert records as JSON lines to this file (default stdout)")
-	report := flag.Bool("report", false, "print the metrics report to stderr when done")
-	metricsJSON := flag.String("metrics-json", "", "write the metrics registry as JSON to this file")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-
-	if *version {
-		fmt.Println(buildinfo.Line("adaptstream"))
-		return
-	}
 	if *replayDir != "" && *input != "" {
 		log.Fatal("-replay and -input are mutually exclusive")
 	}
-	if *replayDir != "" && *journalDir != "" {
+	if *replayDir != "" && trigger.Journal != "" {
 		log.Fatal("-journal cannot be combined with -replay (the journal is the input)")
 	}
-	if *parallelism > 0 {
-		adapt.SetDefaultParallelism(*parallelism)
-	}
-
-	backend, err := adapt.ParseBackend(*backendName)
-	if err != nil {
-		log.Fatalf("%v", err)
-	}
-
-	var bundle *adapt.Models
-	if *modelPath != "" {
-		m, err := adapt.LoadModels(*modelPath)
-		if err != nil {
-			log.Fatalf("load models: %v", err)
-		}
-		bundle = m
-	}
-	if _, err := adapt.NewClassifier(backend, bundle); err != nil {
-		log.Fatalf("%v", err)
-	}
-
-	det := detector.DefaultConfig()
-	bg := background.DefaultModel()
-	rate := *bkgRate
-	if rate <= 0 {
-		// Same calibration convention as the campaign runner: count one
-		// seeded second of quiet sky.
-		rate = float64(len(bg.Simulate(&det, 1.0, xrand.New(*seed).Split(0xCA1))))
-		fmt.Fprintf(os.Stderr, "adaptstream: calibrated background rate %.0f events/s\n", rate)
-	}
-
-	reg := obs.NewRegistry()
-	cfg := stream.DefaultConfig(rate)
-	cfg.Bundle = bundle
-	cfg.Backend = backend
-	cfg.Seed = *seed
-	cfg.Metrics = reg
-	cfg.SigmaThreshold = *sigma
-	cfg.WindowSec = *window
-	cfg.Workers = *parallelism
-	cfg.AlertBuffer = 1024
 	if *skymapTemp < 0 {
 		log.Fatal("-skymap-temp must be >= 0 (0 = calibrated default)")
 	}
+	bundle, backend, err := modelFlags.Load()
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg, err := trigger.Config(*seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg.Bundle = bundle
+	cfg.Backend = backend
+	cfg.Metrics = reg
+	cfg.Workers = *workers
 	cfg.SkyMap = *skymap
 	cfg.SkyMapOpts.Temperature = *skymapTemp
 
-	var journal *flightlog.Journal
-	if *journalDir != "" {
-		pol, err := syncPolicy(*fsync)
-		if err != nil {
-			log.Fatal(err)
-		}
-		journal, err = flightlog.Open(flightlog.Options{Dir: *journalDir, Sync: pol})
-		if err != nil {
-			log.Fatalf("open journal: %v", err)
-		}
-		cfg.Journal = journal
-	}
-
-	out := os.Stdout
-	if *alertsPath != "" {
-		f, err := os.Create(*alertsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-
 	p := stream.New(cfg)
-	enc := json.NewEncoder(out)
-	var downRecs []stream.Record
-	drained := make(chan int)
-	go func() {
-		n := 0
-		for a := range p.Alerts() {
-			rec := a.Record()
-			if err := enc.Encode(rec); err != nil {
-				log.Fatal(err)
-			}
-			if *downlinkDir != "" {
-				downRecs = append(downRecs, rec)
-			}
-			n++
-		}
-		drained <- n
-	}()
-
+	wait, err := trigger.WriteAlerts(p.Alerts())
+	if err != nil {
+		log.Fatal(err)
+	}
 	var fed int
 	switch {
 	case *replayDir != "":
@@ -192,41 +101,31 @@ func main() {
 		}
 		fed = feed(p, events, *lossy)
 	default:
-		events := simulate(&det, bg, *exposure, *burstAt, *fluence, *polar, *azimuth, *seed)
+		events, err := exposure.Simulate(*seed)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fed = feed(p, events, *lossy)
 	}
-	nAlerts := <-drained
-
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			log.Fatalf("close journal: %v", err)
-		}
-		st := journal.Stats()
-		fmt.Fprintf(os.Stderr, "adaptstream: journal: %d records in %d segment(s), %d bytes\n",
-			st.Appended, st.Segments, st.TotalBytes)
+	recs, err := wait()
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "adaptstream: %d events in, %d alert(s) out\n", fed, nAlerts)
+	if err := cli.CloseJournal(cfg.Journal, "journal"); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("%d events in, %d alert(s) out", fed, len(recs))
 
 	if *downlinkDir != "" {
-		journalSource := *journalDir
+		journalSource := trigger.Journal
 		if *replayDir != "" {
 			journalSource = *replayDir
 		}
 		runDownlink(*downlinkDir, *downlinkBudget, *downlinkLoss, *downlinkSeed,
-			cfg.BurstWindowSec, downRecs, journalSource)
+			cfg.BurstWindowSec, recs, journalSource)
 	}
-
-	if *report {
-		reg.WriteText(os.Stderr)
-	}
-	if *metricsJSON != "" {
-		blob, err := json.MarshalIndent(reg, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*metricsJSON, append(blob, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
+	if err := metrics.Write(reg); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -320,20 +219,8 @@ func runDownlink(groundDir string, budget, loss float64, seed uint64, burstWindo
 	if codecBytes > 0 {
 		ratio = fmt.Sprintf(", %.2fx codec", float64(rawBytes)/float64(codecBytes))
 	}
-	fmt.Fprintf(os.Stderr, "adaptstream: downlink: %d alert(s), %d journal record(s)%s, %d chunks, %d retransmits, drained in %.1f s event time\n",
+	log.Printf("downlink: %d alert(s), %d journal record(s)%s, %d chunks, %d retransmits, drained in %.1f s event time",
 		len(alerts), nRecords, ratio, st.ChunksSent, st.Retransmits, st.ElapsedSec)
-}
-
-func syncPolicy(name string) (flightlog.SyncPolicy, error) {
-	switch name {
-	case "always":
-		return flightlog.SyncAlways, nil
-	case "interval":
-		return flightlog.SyncInterval, nil
-	case "none":
-		return flightlog.SyncNone, nil
-	}
-	return 0, fmt.Errorf("unknown -fsync policy %q (want always, interval, or none)", name)
 }
 
 // feed pushes events into the processor in arrival order and closes it.
@@ -369,30 +256,4 @@ func readEvio(path string) ([]*detector.Event, error) {
 		return events[i].ArrivalTime < events[j].ArrivalTime
 	})
 	return events, nil
-}
-
-// simulate builds a live exposure: background over the full span with one
-// simulated burst injected at each requested start time.
-func simulate(det *detector.Config, bg background.Model, exposure float64, burstAt string, fluence, polar, azimuth float64, seed uint64) []*detector.Event {
-	rng := xrand.New(seed)
-	events := bg.Simulate(det, exposure, rng)
-	for _, tok := range strings.Split(burstAt, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		t0, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			log.Fatalf("bad -burst-at entry %q: %v", tok, err)
-		}
-		b := detector.Burst{Fluence: fluence, PolarDeg: polar, AzimuthDeg: azimuth}
-		for _, ev := range detector.SimulateBurst(det, b, rng) {
-			ev.ArrivalTime += t0
-			events = append(events, ev)
-		}
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		return events[i].ArrivalTime < events[j].ArrivalTime
-	})
-	return events
 }

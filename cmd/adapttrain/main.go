@@ -11,12 +11,11 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 
 	"repro/adapt"
-	"repro/internal/buildinfo"
+	"repro/internal/cli"
 	"repro/internal/datagen"
 	"repro/internal/features"
 	"repro/internal/models"
@@ -26,8 +25,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("adapttrain: ")
 	bursts := flag.Int("bursts", 3, "training bursts per polar angle (nine angles)")
 	epochs := flag.Int("epochs", 30, "maximum training epochs (early stopping applies)")
 	seed := flag.Uint64("seed", 7, "dataset and training seed")
@@ -37,12 +34,7 @@ func main() {
 	quantMode := flag.String("quant-mode", "qat", "quantization strategy when -quantize is set: qat (fine-tuned) or ptq (calibration only)")
 	quiet := flag.Bool("q", false, "suppress per-epoch progress")
 	tuneN := flag.Int("tune", 0, "run a random hyperparameter search with this many candidates before training (0 = off)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Line("adapttrain"))
-		return
-	}
+	cli.Parse("adapttrain")
 
 	var qmode models.QuantMode
 	switch *quantMode {

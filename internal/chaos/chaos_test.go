@@ -56,32 +56,41 @@ func runOnce(t *testing.T, spec *Spec, seed uint64, workers int) ([]byte, []byte
 // subsystem: the same (scenario, seed) must produce byte-identical
 // scorecards and alert records across fresh Prepare+Run invocations and
 // across localization worker counts, with the dropout/rejoin, backfill,
-// drift, and overload faults all active.
+// drift, and overload faults all active — on the mini scenario and on the
+// built-in "flight" library scenario.
 func TestDeterminismAcrossRunsAndWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
 	}
-	spec := miniFlight()
+	flight, err := Builtin("flight")
+	if err != nil {
+		t.Fatal(err)
+	}
 	const seed = 11
+	var sc *Scorecard
+	for _, spec := range []*Spec{miniFlight(), flight} {
+		card1, recs1, card := runOnce(t, spec, seed, 1)
+		card2, recs2, _ := runOnce(t, spec, seed, 1)
+		card4, recs4, _ := runOnce(t, spec, seed, 4)
 
-	card1, recs1, sc := runOnce(t, spec, seed, 1)
-	card2, recs2, _ := runOnce(t, spec, seed, 1)
-	card4, recs4, _ := runOnce(t, spec, seed, 4)
+		if !bytes.Equal(card1, card2) {
+			t.Errorf("%s: scorecard differs between two identical runs:\n%s\nvs\n%s", spec.Name, card1, card2)
+		}
+		if !bytes.Equal(card1, card4) {
+			t.Errorf("%s: scorecard differs between workers 1 and 4:\n%s\nvs\n%s", spec.Name, card1, card4)
+		}
+		if !bytes.Equal(recs1, recs2) {
+			t.Errorf("%s: alert records differ between two identical runs", spec.Name)
+		}
+		if !bytes.Equal(recs1, recs4) {
+			t.Errorf("%s: alert records differ between workers 1 and 4", spec.Name)
+		}
+		if sc == nil {
+			sc = card
+		}
+	}
 
-	if !bytes.Equal(card1, card2) {
-		t.Errorf("scorecard differs between two identical runs:\n%s\nvs\n%s", card1, card2)
-	}
-	if !bytes.Equal(card1, card4) {
-		t.Errorf("scorecard differs between workers 1 and 4:\n%s\nvs\n%s", card1, card4)
-	}
-	if !bytes.Equal(recs1, recs2) {
-		t.Error("alert records differ between two identical runs")
-	}
-	if !bytes.Equal(recs1, recs4) {
-		t.Error("alert records differ between workers 1 and 4")
-	}
-
-	// The same run doubles as the fault-primitive functional check: every
+	// The mini run doubles as the fault-primitive functional check: every
 	// configured fault must actually have bitten.
 	if sc.BackfillEvents == 0 {
 		t.Error("backfilled dropout recovered no events")

@@ -113,28 +113,5 @@ func (s *Scheduler) Pending() bool {
 	return false
 }
 
-// PendingAbove reports whether any chunk of class strictly higher priority
-// than class remains queued.
-func (s *Scheduler) PendingAbove(class Class) bool {
-	for c := Class(0); c < class; c++ {
-		if len(s.queues[c]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // QueueDepth returns the number of messages waiting in class c.
 func (s *Scheduler) QueueDepth(c Class) int { return len(s.queues[c]) }
-
-// PendingBytes returns the not-yet-transmitted payload bytes across all
-// classes.
-func (s *Scheduler) PendingBytes() int {
-	n := 0
-	for _, q := range s.queues {
-		for _, m := range q {
-			n += len(m.payload) - min(m.nextChunk*s.chunkBytes, len(m.payload))
-		}
-	}
-	return n
-}

@@ -60,15 +60,12 @@ type History struct {
 type Trainer struct {
 	Net       *Sequential
 	Loss      Loss
-	Opt       Optimizer
+	Opt       *SGD
 	BatchSize int
 	MaxEpochs int
 	// Patience is how many epochs validation loss may fail to improve
 	// before stopping. Zero means 10.
 	Patience int
-	// Schedule, when non-nil, scales the optimizer's learning rate each
-	// epoch (the base rate is the optimizer's rate when Fit starts).
-	Schedule Schedule
 	// Logf, when non-nil, receives one line per epoch.
 	Logf func(format string, args ...any)
 }
@@ -98,12 +95,8 @@ func (t *Trainer) Fit(train, val *Dataset, rng *xrand.RNG) History {
 	for i := range idx {
 		idx[i] = i
 	}
-	baseLR := t.Opt.LearningRate()
 
 	for epoch := 0; epoch < t.MaxEpochs; epoch++ {
-		if t.Schedule != nil {
-			t.Opt.SetLearningRate(baseLR * t.Schedule.Factor(epoch))
-		}
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		var epochLoss float64
 		var batches int

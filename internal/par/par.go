@@ -8,9 +8,6 @@
 //     subrange per shard with a FIXED shard→subrange mapping (shard s always
 //     owns the same indices for a given n and worker count), so results can
 //     be written into preallocated slots without locks;
-//   - deterministic reduction: MapChunks returns per-shard results in shard
-//     order, so callers reduce in index order and get bitwise-identical
-//     results regardless of goroutine scheduling;
 //   - context cancellation: shards that have not started when the context is
 //     cancelled never run, and the error is reported to the caller;
 //   - panic propagation: a panic in any shard is re-raised in the calling
@@ -78,7 +75,7 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Shards reports how many shards ForRange/MapChunks will use for n items:
+// Shards reports how many shards ForRange will use for n items:
 // min(Workers, n), at least 1 for n > 0.
 func (p *Pool) Shards(n int) int {
 	s := p.Workers()
@@ -178,21 +175,4 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int)) error {
 			fn(i)
 		}
 	})
-}
-
-// MapChunks evaluates fn over each shard's subrange of [0, n) and returns
-// the per-shard results in shard order (index order). Reducing the returned
-// slice left-to-right is therefore deterministic: the association of work to
-// shards and the order of results are both fixed functions of (n, workers),
-// independent of goroutine scheduling. On cancellation the slice holds the
-// zero value for shards that never ran, alongside a non-nil error.
-func MapChunks[T any](ctx context.Context, p *Pool, n int, fn func(lo, hi int) T) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	out := make([]T, p.Shards(n))
-	err := p.ForRange(ctx, n, func(shard, lo, hi int) {
-		out[shard] = fn(lo, hi)
-	})
-	return out, err
 }

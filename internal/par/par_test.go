@@ -167,60 +167,6 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestMapChunksOrderedReduceDeterminism(t *testing.T) {
-	// A floating-point reduction is scheduling-sensitive if results arrive
-	// out of order; MapChunks must hand back shard results in index order so
-	// the reduce is bitwise stable across runs and worker counts ≥ the same
-	// shard layout.
-	const n = 10_000
-	xs := make([]float64, n)
-	v := 1.0
-	for i := range xs {
-		v = v*1.0000001 + float64(i%7)*1e-9
-		xs[i] = v
-	}
-	reduceWith := func(workers int) float64 {
-		chunks, err := MapChunks(context.Background(), NewPool(workers), n, func(lo, hi int) float64 {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			return s
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0.0
-		for _, c := range chunks {
-			total += c
-		}
-		return total
-	}
-
-	// Same worker count → same shard layout → bitwise-identical sum on
-	// every run, regardless of scheduling.
-	for _, workers := range []int{2, 4, 7} {
-		first := reduceWith(workers)
-		for rep := 0; rep < 20; rep++ {
-			if got := reduceWith(workers); got != first {
-				t.Fatalf("workers=%d: run %d sum %v != first %v", workers, rep, got, first)
-			}
-		}
-	}
-}
-
-func TestMapChunksShardOrder(t *testing.T) {
-	chunks, err := MapChunks(context.Background(), NewPool(4), 100, func(lo, hi int) int { return lo })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(chunks); i++ {
-		if chunks[i] <= chunks[i-1] {
-			t.Fatalf("chunk starts not in shard order: %v", chunks)
-		}
-	}
-}
-
 func TestForRangeEmpty(t *testing.T) {
 	if err := NewPool(4).ForRange(context.Background(), 0, func(_, lo, hi int) {
 		t.Error("fn called for n=0")

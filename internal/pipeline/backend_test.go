@@ -3,40 +3,9 @@ package pipeline
 import (
 	"testing"
 
-	"repro/internal/datagen"
-	"repro/internal/models"
+	"repro/internal/models/modelstest"
 	"repro/internal/xrand"
 )
-
-// quantBundle extends tinyBundle with a PTQ-quantized background net,
-// trained once for the package's backend tests.
-var quantBundle = func() func(t *testing.T) *models.Bundle {
-	var b *models.Bundle
-	return func(t *testing.T) *models.Bundle {
-		t.Helper()
-		if b != nil {
-			return b
-		}
-		cfg := datagen.DefaultConfig(31)
-		cfg.BurstsPerAngle = 1
-		cfg.PolarAnglesDeg = []float64{0, 40, 80}
-		set := datagen.Generate(cfg)
-		opts := models.DefaultTrainOptions(32)
-		opts.MaxEpochs = 4
-		opts.BkgLR = 5e-3
-		opts.BkgBatch = 512
-		opts.Swapped = true
-		b = models.Train(set, opts)
-		qopts := models.DefaultQuantizeOptions(33)
-		qopts.Mode = models.ModePTQ
-		int8net, _, err := models.QuantizeBackground(b, set, qopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Int8 = int8net
-		return b
-	}
-}()
 
 func TestParseBackend(t *testing.T) {
 	cases := map[string]Backend{
@@ -63,7 +32,7 @@ func TestNewClassifier(t *testing.T) {
 	if cls, err := NewClassifier(BackendInt8, nil); cls != nil || err != nil {
 		t.Errorf("nil bundle: got %v, %v; want nil, nil", cls, err)
 	}
-	b := quantBundle(t)
+	b := modelstest.QuantBundle(t, 31)
 	if cls, err := NewClassifier(BackendFloat32, b); err != nil {
 		t.Error(err)
 	} else if fp, ok := cls.(FP32Classifier); !ok || fp.Net != b.Bkg {
@@ -92,7 +61,7 @@ func TestRunBackendResolution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains networks")
 	}
-	b := quantBundle(t)
+	b := modelstest.QuantBundle(t, 31)
 	events, _ := simulateExposure(1.5, 40, 5)
 
 	run := func(backend Backend, override BkgClassifier) Result {
@@ -116,7 +85,7 @@ func TestRunInt8DeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains networks")
 	}
-	b := quantBundle(t)
+	b := modelstest.QuantBundle(t, 31)
 	events, _ := simulateExposure(1.5, 40, 7)
 	var ref Result
 	for i, workers := range []int{1, 2, 4, 7} {
@@ -136,7 +105,7 @@ func TestRunInt8DeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRunPanicsOnUnquantizedInt8(t *testing.T) {
-	b := quantBundle(t)
+	b := modelstest.QuantBundle(t, 31)
 	plain := *b
 	plain.Int8 = nil
 	opts := DefaultOptions()

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,7 +84,8 @@ func postBody(t *testing.T, client *http.Client, url string, body []byte) (*http
 // TestRoutedBitwiseIdentical is the routing acceptance test: a request
 // through the router returns byte-for-byte what every replica returns
 // directly (with ?canonical=1 zeroing the per-run timing noise), because
-// the backends are deterministic and the router is transparent.
+// the backends are deterministic and the router is transparent. It holds
+// for localizations and for sky maps.
 func TestRoutedBitwiseIdentical(t *testing.T) {
 	urls := newReplicas(t, 3)
 	rt := newRouter(t, Config{Replicas: append([]string(nil), urls...)})
@@ -91,39 +93,40 @@ func TestRoutedBitwiseIdentical(t *testing.T) {
 	defer rts.Close()
 
 	body := simulateBody(t, 1.0, 30, 7)
-	const q = "/v1/localize?seed=7&canonical=1"
+	for _, q := range []string{"/v1/localize?seed=7&canonical=1", "/v1/skymap?seed=7&canonical=1"} {
+		var direct [][]byte
+		for _, u := range urls {
+			resp, b := postBody(t, http.DefaultClient, u+q, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("direct POST %s = %d: %s", q, resp.StatusCode, b)
+			}
+			direct = append(direct, b)
+		}
+		for i := 1; i < len(direct); i++ {
+			if !bytes.Equal(direct[i], direct[0]) {
+				t.Fatalf("%s: replicas disagree with each other:\n%s\n%s", q, direct[0], direct[i])
+			}
+		}
 
-	var direct [][]byte
-	for _, u := range urls {
-		resp, b := postBody(t, http.DefaultClient, u+q, body)
+		resp, routed := postBody(t, http.DefaultClient, rts.URL+q, body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("direct POST = %d: %s", resp.StatusCode, b)
+			t.Fatalf("routed POST %s = %d: %s", q, resp.StatusCode, routed)
 		}
-		direct = append(direct, b)
-	}
-	for i := 1; i < len(direct); i++ {
-		if !bytes.Equal(direct[i], direct[0]) {
-			t.Fatalf("replicas disagree with each other:\n%s\n%s", direct[0], direct[i])
+		if !bytes.Equal(routed, direct[0]) {
+			t.Fatalf("%s: routed body differs from direct:\nrouted: %s\ndirect: %s", q, routed, direct[0])
 		}
-	}
-
-	resp, routed := postBody(t, http.DefaultClient, rts.URL+q, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("routed POST = %d: %s", resp.StatusCode, routed)
-	}
-	if !bytes.Equal(routed, direct[0]) {
-		t.Fatalf("routed body differs from direct:\nrouted: %s\ndirect: %s", routed, direct[0])
-	}
-	if got := resp.Header.Get(headerCache); got != "miss" {
-		t.Errorf("first routed request cache state = %q, want miss", got)
-	}
-	if resp.Header.Get(serve.HeaderBackend) != "float32" {
-		t.Errorf("missing/wrong %s header: %q", serve.HeaderBackend, resp.Header.Get(serve.HeaderBackend))
+		if got := resp.Header.Get(headerCache); got != "miss" {
+			t.Errorf("%s: first routed request cache state = %q, want miss", q, got)
+		}
+		if resp.Header.Get(serve.HeaderBackend) != "float32" {
+			t.Errorf("%s: missing/wrong %s header: %q", q, serve.HeaderBackend, resp.Header.Get(serve.HeaderBackend))
+		}
 	}
 }
 
 // TestCacheHitBitwiseIdentical: a repeat of an identical request is a
-// cache hit and returns exactly the missed response's bytes.
+// cache hit and returns exactly the missed response's bytes, for
+// localizations and for sky maps.
 func TestCacheHitBitwiseIdentical(t *testing.T) {
 	urls := newReplicas(t, 2)
 	rt := newRouter(t, Config{Replicas: urls})
@@ -131,30 +134,32 @@ func TestCacheHitBitwiseIdentical(t *testing.T) {
 	defer rts.Close()
 
 	body := simulateBody(t, 1.0, 40, 11)
-	const q = "/v1/localize?seed=3&canonical=1"
-
-	resp1, b1 := postBody(t, http.DefaultClient, rts.URL+q, body)
-	resp2, b2 := postBody(t, http.DefaultClient, rts.URL+q, body)
-	if resp1.StatusCode != 200 || resp2.StatusCode != 200 {
-		t.Fatalf("statuses %d, %d", resp1.StatusCode, resp2.StatusCode)
-	}
-	if got := resp2.Header.Get(headerCache); got != "hit" {
-		t.Fatalf("second request cache state = %q, want hit", got)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("cache hit not bitwise-identical to miss:\nmiss: %s\nhit:  %s", b1, b2)
-	}
-	// Distinct query → distinct key → miss.
-	resp3, _ := postBody(t, http.DefaultClient, rts.URL+"/v1/localize?seed=4&canonical=1", body)
-	if got := resp3.Header.Get(headerCache); got != "miss" {
-		t.Errorf("different seed cache state = %q, want miss", got)
+	paths := []string{"/v1/localize", "/v1/skymap"}
+	for _, path := range paths {
+		q := path + "?seed=3&canonical=1"
+		resp1, b1 := postBody(t, http.DefaultClient, rts.URL+q, body)
+		resp2, b2 := postBody(t, http.DefaultClient, rts.URL+q, body)
+		if resp1.StatusCode != 200 || resp2.StatusCode != 200 {
+			t.Fatalf("%s: statuses %d, %d", path, resp1.StatusCode, resp2.StatusCode)
+		}
+		if got := resp2.Header.Get(headerCache); got != "hit" {
+			t.Fatalf("%s: second request cache state = %q, want hit", path, got)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("%s: cache hit not bitwise-identical to miss:\nmiss: %s\nhit:  %s", path, b1, b2)
+		}
+		// Distinct query → distinct key → miss.
+		resp3, _ := postBody(t, http.DefaultClient, rts.URL+path+"?seed=4&canonical=1", body)
+		if got := resp3.Header.Get(headerCache); got != "miss" {
+			t.Errorf("%s: different seed cache state = %q, want miss", path, got)
+		}
 	}
 	reg := rt.Metrics()
-	if hits := reg.Counter("router_cache_hits").Load(); hits != 1 {
-		t.Errorf("router_cache_hits = %d, want 1", hits)
+	if hits := reg.Counter("router_cache_hits").Load(); hits != int64(len(paths)) {
+		t.Errorf("router_cache_hits = %d, want %d", hits, len(paths))
 	}
-	if misses := reg.Counter("router_cache_misses").Load(); misses != 2 {
-		t.Errorf("router_cache_misses = %d, want 2", misses)
+	if misses := reg.Counter("router_cache_misses").Load(); misses != 2*int64(len(paths)) {
+		t.Errorf("router_cache_misses = %d, want %d", misses, 2*len(paths))
 	}
 }
 
@@ -305,76 +310,209 @@ func TestRetryAfterHonored(t *testing.T) {
 	}
 }
 
-// TestFailoverAndEjection: killing a replica mid-fleet must not fail any
-// request (transport errors retry on survivors), and the dead replica is
-// ejected after its failure streak, then readmitted when it returns.
+// TestFailoverAndEjection: a replica that dies must not fail any request
+// (transport errors retry on survivors), and the router ejects it after
+// its failure streak. It holds for a replica dead before the first
+// request and for one killed while requests are in flight.
 func TestFailoverAndEjection(t *testing.T) {
-	urls := newReplicas(t, 2)
-	dead := newFakeReplica(t)
-	all := append(append([]string(nil), urls...), dead.ts.URL)
-	rt := newRouter(t, Config{
-		Replicas:      all,
-		RetryBudget:   3,
-		FailThreshold: 2,
+	t.Run("dead before traffic", func(t *testing.T) {
+		urls := newReplicas(t, 2)
+		dead := newFakeReplica(t)
+		all := append(append([]string(nil), urls...), dead.ts.URL)
+		rt := newRouter(t, Config{
+			Replicas:      all,
+			RetryBudget:   3,
+			FailThreshold: 2,
+		})
+		rts := httptest.NewServer(rt.Handler())
+		defer rts.Close()
+
+		body := simulateBody(t, 1.0, 20, 5)
+		// Kill the fake replica outright: connection-refused transport errors.
+		dead.ts.Close()
+
+		// Every request must still succeed. The ring places replicas by URL,
+		// and the ports are random, so keep sending until at least
+		// FailThreshold requests had the dead replica as their first choice.
+		deadFirst := 0
+		for i := 0; i < 12 || deadFirst < 2; i++ {
+			if i == 1000 {
+				t.Fatal("no request routes to the dead replica first")
+			}
+			q := fmt.Sprintf("/v1/localize?seed=%d&canonical=1", i+1)
+			u, err := url.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ringKey := contentKey(u.Path, u.Query(), body); rt.replicas[rt.ring.Candidates(ringKey)[0]].name == dead.ts.URL {
+				deadFirst++
+			}
+			resp, b := postBody(t, http.DefaultClient, rts.URL+q, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("request %d failed: %d %s", i, resp.StatusCode, b)
+			}
+		}
+		// The request-path failure streak alone must have ejected it.
+		var deadState *replicaState
+		for _, rep := range rt.replicas {
+			if rep.name == dead.ts.URL {
+				deadState = rep
+			}
+		}
+		if deadState == nil {
+			t.Fatal("dead replica not found in router state")
+		}
+		if deadState.healthy.Load() {
+			t.Error("dead replica still marked healthy after failure streak")
+		}
+		if got := rt.Metrics().Counter("router_ejections").Load(); got < 1 {
+			t.Errorf("router_ejections = %d, want >= 1", got)
+		}
+
+		// Once ejected, requests no longer pay the connection-refused tax:
+		// no retries needed.
+		before := rt.Metrics().Counter("router_retries").Load()
+		for i := 0; i < 4; i++ {
+			q := fmt.Sprintf("/v1/localize?seed=%d&canonical=1", 100+i)
+			resp, _ := postBody(t, http.DefaultClient, rts.URL+q, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("post-ejection request failed: %d", resp.StatusCode)
+			}
+		}
+		if after := rt.Metrics().Counter("router_retries").Load(); after != before {
+			t.Errorf("ejected replica still receiving attempts: retries %d -> %d", before, after)
+		}
 	})
+	t.Run("killed mid-load", testKilledMidLoad)
+}
+
+// testKilledMidLoad fronts three real replicas, keeps requests in flight
+// from several clients, and kills one replica, listener and open
+// connections, while one of its requests is being served. Every request
+// must succeed, at least 10 of them, and the dead replica must be ejected:
+// router_ejections >= 1 and /readyz one healthy replica short.
+func testKilledMidLoad(t *testing.T) {
+	var urls []string
+	var victim *httptest.Server
+	inVictim := make(chan struct{}, 1)
+	for i := 0; i < 3; i++ {
+		h := serve.New(serve.Config{MaxConcurrent: 2, QueueDepth: 32}).Handler()
+		if i == 1 {
+			next := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/localize" {
+					select {
+					case inVictim <- struct{}{}:
+					default:
+					}
+				}
+				next.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		if i == 1 {
+			victim = ts
+		}
+		urls = append(urls, ts.URL)
+	}
+	rt := newRouter(t, Config{Replicas: urls, RetryBudget: 3, FailThreshold: 2})
 	rts := httptest.NewServer(rt.Handler())
 	defer rts.Close()
-
-	body := simulateBody(t, 1.0, 20, 5)
-	// Kill the fake replica outright: connection-refused transport errors.
-	dead.ts.Close()
-
-	// Every request must still succeed. The ring places replicas by URL,
-	// and the ports are random, so keep sending until at least
-	// FailThreshold requests had the dead replica as their first choice.
-	deadFirst := 0
-	for i := 0; i < 12 || deadFirst < 2; i++ {
-		if i == 1000 {
-			t.Fatal("no request routes to the dead replica first")
-		}
-		q := fmt.Sprintf("/v1/localize?seed=%d&canonical=1", i+1)
-		u, err := url.Parse(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ringKey := contentKey(u.Path, u.Query(), body); rt.replicas[rt.ring.Candidates(ringKey)[0]].name == dead.ts.URL {
-			deadFirst++
-		}
-		resp, b := postBody(t, http.DefaultClient, rts.URL+q, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d failed: %d %s", i, resp.StatusCode, b)
-		}
-	}
-	// The request-path failure streak alone must have ejected it.
-	var deadState *replicaState
-	for _, rep := range rt.replicas {
-		if rep.name == dead.ts.URL {
-			deadState = rep
-		}
-	}
-	if deadState == nil {
-		t.Fatal("dead replica not found in router state")
-	}
-	if deadState.healthy.Load() {
-		t.Error("dead replica still marked healthy after failure streak")
-	}
-	if got := rt.Metrics().Counter("router_ejections").Load(); got < 1 {
-		t.Errorf("router_ejections = %d, want >= 1", got)
+	body := simulateBody(t, 1.0, 30, 7)
+	if got := healthyReplicas(t, rt); got != 3 {
+		t.Fatalf("/readyz healthy_replicas = %d before the kill, want 3", got)
 	}
 
-	// Once ejected, requests no longer pay the connection-refused tax:
-	// no retries needed.
-	before := rt.Metrics().Counter("router_retries").Load()
-	for i := 0; i < 4; i++ {
-		q := fmt.Sprintf("/v1/localize?seed=%d&canonical=1", 100+i)
-		resp, _ := postBody(t, http.DefaultClient, rts.URL+q, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("post-ejection request failed: %d", resp.StatusCode)
+	// One repeat first, so the exposition carries the cache-hit family.
+	for i := 0; i < 2; i++ {
+		if resp, b := postBody(t, http.DefaultClient, rts.URL+"/v1/localize?seed=7&canonical=1", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm-up request: %d %s", resp.StatusCode, b)
 		}
 	}
-	if after := rt.Metrics().Counter("router_retries").Load(); after != before {
-		t.Errorf("ejected replica still receiving attempts: retries %d -> %d", before, after)
+	select {
+	case <-inVictim: // a warm-up request, long answered
+	default:
 	}
+
+	// Distinct seeds defeat the cache, so every request is routed.
+	var sent, failed atomic.Int64
+	ejected := func() bool { return rt.Metrics().Counter("router_ejections").Load() >= 1 }
+	killed := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-killed:
+					if ejected() && sent.Load() >= 10 {
+						return
+					}
+				default:
+				}
+				n := sent.Add(1)
+				if n > 1000 {
+					return
+				}
+				resp, err := http.Post(fmt.Sprintf("%s/v1/localize?seed=%d&canonical=1", rts.URL, n+100), serve.ContentTypeEvio, bytes.NewReader(body))
+				if err != nil {
+					failed.Add(1)
+					t.Errorf("request %d: %v", n, err)
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					failed.Add(1)
+					t.Errorf("request %d failed: %d", n, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	<-inVictim
+	victim.Listener.Close()
+	victim.CloseClientConnections()
+	close(killed)
+	wg.Wait()
+
+	if n := sent.Load(); n < 10 || n > 1000 {
+		t.Fatalf("%d requests sent; want at least 10 before the dead replica is ejected", n)
+	}
+	if failed.Load() != 0 {
+		t.Fatalf("%d of %d requests failed while a replica died", failed.Load(), sent.Load())
+	}
+	if !ejected() {
+		t.Fatal("dead replica not ejected")
+	}
+	if got := healthyReplicas(t, rt); got != 2 {
+		t.Errorf("/readyz healthy_replicas = %d after the kill, want 2", got)
+	}
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	metrics := rec.Body.String()
+	for _, family := range []string{"adapt_build_info", "adapt_router_cache_hit_ratio",
+		"adapt_router_cache_hits_total", "adapt_router_retries_total"} {
+		if !contains(metrics, "\n"+family) {
+			t.Errorf("metrics exposition lacks %s", family)
+		}
+	}
+	if !regexp.MustCompile(`(?m)^adapt_router_ejections_total [1-9]`).MatchString(metrics) {
+		t.Error("no ejection recorded in the metrics exposition")
+	}
+}
+
+// healthyReplicas reads healthy_replicas from the router's /readyz.
+func healthyReplicas(t *testing.T, rt *Router) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	var rr RouterReadyz
+	if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
+		t.Fatal(err)
+	}
+	return rr.HealthyReplicas
 }
 
 // TestReadmission: a replica whose /readyz recovers is routed to again.

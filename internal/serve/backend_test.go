@@ -6,42 +6,11 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/adapt"
-	"repro/internal/datagen"
-	"repro/internal/models"
+	"repro/internal/models/modelstest"
 )
-
-// quantBundle trains a PTQ-quantized bundle once for the backend tests.
-var quantBundle = func() func(t *testing.T) *models.Bundle {
-	var once sync.Once
-	var b *models.Bundle
-	return func(t *testing.T) *models.Bundle {
-		t.Helper()
-		once.Do(func() {
-			cfg := datagen.DefaultConfig(61)
-			cfg.BurstsPerAngle = 1
-			cfg.PolarAnglesDeg = []float64{0, 40, 80}
-			set := datagen.Generate(cfg)
-			opts := models.DefaultTrainOptions(62)
-			opts.MaxEpochs = 4
-			opts.BkgLR = 5e-3
-			opts.BkgBatch = 512
-			opts.Swapped = true
-			b = models.Train(set, opts)
-			qopts := models.DefaultQuantizeOptions(63)
-			qopts.Mode = models.ModePTQ
-			int8net, _, err := models.QuantizeBackground(b, set, qopts)
-			if err != nil {
-				panic(err)
-			}
-			b.Int8 = int8net
-		})
-		return b
-	}
-}()
 
 func getVersion(t *testing.T, ts *httptest.Server) map[string]any {
 	t.Helper()
@@ -70,7 +39,7 @@ func TestVersionReportsBackend(t *testing.T) {
 		t.Errorf("default backend = %v, want float32", v["backend"])
 	}
 
-	qb := quantBundle(t)
+	qb := modelstest.QuantBundle(t, 61)
 	int8srv := New(Config{Backend: adapt.BackendInt8, Bundle: qb})
 	ts8 := httptest.NewServer(int8srv.Handler())
 	defer ts8.Close()
@@ -82,7 +51,7 @@ func TestVersionReportsBackend(t *testing.T) {
 // TestBackendLocalizeParity: the float32 and int8 servers must both
 // localize the same request, within quantization error of each other.
 func TestBackendLocalizeParity(t *testing.T) {
-	qb := quantBundle(t)
+	qb := modelstest.QuantBundle(t, 61)
 	body := evioBody(t, simulateEvents(1.5, 40, 71))
 
 	responses := map[adapt.Backend]*LocalizeResponse{}
@@ -112,7 +81,7 @@ func TestBackendLocalizeParity(t *testing.T) {
 // unquantized bundle must fail with 422 and leave the previous quantized
 // generation serving.
 func TestReloadKeepsBackendContract(t *testing.T) {
-	qb := quantBundle(t)
+	qb := modelstest.QuantBundle(t, 61)
 	plain := tinyBundle(t) // unswapped, no Int8
 	dir := t.TempDir()
 	plainPath := filepath.Join(dir, "plain.gob")

@@ -582,6 +582,25 @@ func TestEndpointsMisc(t *testing.T) {
 		t.Errorf("/version = %d %q", r.StatusCode, body)
 	}
 
+	// One localization: an OK result with its timing, counted once.
+	r, err := ts.Client().Post(ts.URL+"/v1/localize?seed=7", ContentTypeEvio,
+		bytes.NewReader(evioBody(t, simulateEvents(1.0, 30, 7))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StatusCode != http.StatusOK || !strings.Contains(string(b), `"ok":true`) || !strings.Contains(string(b), `"timing_ms"`) {
+		t.Errorf("/v1/localize = %d %s", r.StatusCode, b)
+	}
+	if _, body := get("/metrics"); !strings.Contains(body, "adapt_serve_localize_ok_total 1") ||
+		!strings.Contains(body, `adapt_stage_duration_seconds_count{stage="serve_localize"} 1`) {
+		t.Errorf("/metrics after one localization:\n%s", body)
+	}
+
 	// GET on a POST endpoint.
 	if r, _ := get("/v1/localize"); r.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/localize = %d, want 405", r.StatusCode)

@@ -77,9 +77,6 @@ func MinMax(xs []float64) (min, max float64) {
 	return min, max
 }
 
-// Median returns the sample median.
-func Median(xs []float64) float64 { return Containment(xs, 0.5) }
-
 // MeanErr is a mean with a symmetric error bar (as in the paper's
 // "error bars are over ten meta-trials").
 type MeanErr struct {
@@ -119,42 +116,4 @@ func SummarizeTimings(ms []float64) TimingSummary {
 // String implements fmt.Stringer in the paper's "mean (range)" style.
 func (t TimingSummary) String() string {
 	return fmt.Sprintf("%.1f ms (%.0f–%.0f)", t.MeanMs, t.MinMs, t.MaxMs)
-}
-
-// Histogram is a fixed-bin histogram used for diagnostics.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int
-	Over   int
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) {
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations including overflow bins.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }

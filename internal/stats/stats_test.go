@@ -54,8 +54,8 @@ func TestMinMaxMedian(t *testing.T) {
 	if lo != -1 || hi != 7 {
 		t.Errorf("MinMax = %v, %v", lo, hi)
 	}
-	if got := Median([]float64{1, 2, 3, 4, 5}); got != 3 {
-		t.Errorf("Median = %v", got)
+	if got := Containment([]float64{1, 2, 3, 4, 5}, 0.5); got != 3 {
+		t.Errorf("median = %v", got)
 	}
 }
 
@@ -86,28 +86,6 @@ func TestTimingSummary(t *testing.T) {
 	}
 	if z := SummarizeTimings(nil); z.N != 0 {
 		t.Error("empty summary not zero")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 55} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin 0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin 1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Errorf("bin 4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
 	}
 }
 

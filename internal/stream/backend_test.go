@@ -2,46 +2,15 @@ package stream
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
-	"repro/internal/datagen"
 	"repro/internal/features"
 	"repro/internal/geom"
-	"repro/internal/models"
+	"repro/internal/models/modelstest"
 	"repro/internal/pipeline"
 	"repro/internal/recon"
 	"repro/internal/skymap"
 )
-
-// quantBundle trains a PTQ-quantized bundle once for the backend tests.
-var quantBundle = func() func(t *testing.T) *models.Bundle {
-	var once sync.Once
-	var b *models.Bundle
-	return func(t *testing.T) *models.Bundle {
-		t.Helper()
-		once.Do(func() {
-			cfg := datagen.DefaultConfig(81)
-			cfg.BurstsPerAngle = 1
-			cfg.PolarAnglesDeg = []float64{0, 40, 80}
-			set := datagen.Generate(cfg)
-			opts := models.DefaultTrainOptions(82)
-			opts.MaxEpochs = 4
-			opts.BkgLR = 5e-3
-			opts.BkgBatch = 512
-			opts.Swapped = true
-			b = models.Train(set, opts)
-			qopts := models.DefaultQuantizeOptions(83)
-			qopts.Mode = models.ModePTQ
-			int8net, _, err := models.QuantizeBackground(b, set, qopts)
-			if err != nil {
-				panic(err)
-			}
-			b.Int8 = int8net
-		})
-		return b
-	}
-}()
 
 // TestBackendAlertParity runs the same recorded events through both
 // backends. The trigger is NN-independent (a Poisson count-rate test), so
@@ -50,7 +19,7 @@ func TestBackendAlertParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains networks")
 	}
-	b := quantBundle(t)
+	b := modelstest.QuantBundle(t, 81)
 	events, meanRate := simSession(t, 13)
 
 	run := func(backend pipeline.Backend) []Alert {
@@ -91,7 +60,7 @@ func TestSkyMapFollowsBackend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains networks")
 	}
-	b := quantBundle(t)
+	b := modelstest.QuantBundle(t, 81)
 	events, meanRate := simSession(t, 13)
 	cfg := DefaultConfig(meanRate)
 	cfg.Seed = 42
@@ -140,7 +109,7 @@ func TestNewPanicsOnUnquantizedInt8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains networks")
 	}
-	b := quantBundle(t)
+	b := modelstest.QuantBundle(t, 81)
 	plain := *b
 	plain.Int8 = nil
 	cfg := DefaultConfig(1000)

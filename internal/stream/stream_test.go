@@ -13,6 +13,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/flightlog"
 	"repro/internal/localize"
+	"repro/internal/models/modelstest"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/skymap"
@@ -382,50 +383,6 @@ func TestCrashRecoveryReplayBitwise(t *testing.T) {
 	}
 }
 
-// TestReplayDeterministic replays the same journal twice; the two alert
-// sequences must be identical (the property the smoke script checks
-// end to end through the CLI).
-func TestReplayDeterministic(t *testing.T) {
-	events, meanRate := simSession(t, 11)
-	dir := t.TempDir()
-	j, err := flightlog.Open(flightlog.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(meanRate)
-	cfg.Journal = j
-	Run(cfg, events)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	replay := func() []Record {
-		rcfg := cfg
-		rcfg.Journal = nil
-		p := New(rcfg)
-		done := make(chan []Record)
-		go func() {
-			var out []Record
-			for a := range p.Alerts() {
-				out = append(out, a.Record())
-			}
-			done <- out
-		}()
-		if _, err := ReplayJournal(dir, p); err != nil {
-			t.Fatal(err)
-		}
-		return <-done
-	}
-	a, b := replay(), replay()
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("replays differ in count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("alert %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestSkyMapAlertsReplayBitwise turns downlink map generation on, records
 // a live session to a journal, and requires a replay to reproduce every
 // alert record — including the encoded sky map payload — bitwise. The map
@@ -511,7 +468,7 @@ func TestSkyMapLeavesResultIntact(t *testing.T) {
 	}
 	events, meanRate := simSession(t, 17)
 	cfg := DefaultConfig(meanRate)
-	cfg.Bundle = quantBundle(t)
+	cfg.Bundle = modelstest.QuantBundle(t, 81)
 	cfg.SkyMap = true
 	cfg.Seed = 5
 	alerts := Run(cfg, events)
