@@ -56,9 +56,10 @@ lint: vet
 		echo "lint: govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-## fuzz-smoke: short native-fuzz runs of the untrusted-input decoders and
-## the int8 requantization and packed-panel, float32, localization-likelihood
-## and sky-map mixture arithmetic kernels (CI)
+## fuzz-smoke: short native-fuzz runs of the untrusted-input decoders, the
+## int8 requantization and packed-panel, float32, localization-likelihood
+## and sky-map mixture arithmetic kernels, and the byte-level downlink
+## codec against its event-based reference (CI)
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/evio
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzScenarioParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/chaos
 	$(GO) test -fuzz=FuzzChunkDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/downlink
 	$(GO) test -fuzz=FuzzDeltaEvio -fuzztime=$(FUZZTIME) -run '^$$' ./internal/downlink
+	$(GO) test -fuzz=FuzzCodecMatchesReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/downlink
 
 ## check: everything CI checks
 check: build fmt vet race

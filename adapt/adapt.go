@@ -42,7 +42,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/nn/quant"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/recon"
 	"repro/internal/skymap"
@@ -75,12 +74,6 @@ type Metrics = obs.Registry
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
-
-// SetDefaultParallelism caps the process-wide default worker count used by
-// every parallel stage (localization grid search, NN inference sharding,
-// campaign fan-out) when no explicit Workers value is set. n <= 0 restores
-// the GOMAXPROCS default. Results are bitwise-identical for any value.
-func SetDefaultParallelism(n int) { par.SetDefaultWorkers(n) }
 
 // Backend names an inference backend for the background classifier:
 // BackendFloat32 (default) or BackendInt8. See the pipeline package for
@@ -128,7 +121,8 @@ type Instrument struct {
 	// halted earlier for real-time budget reasons by lowering this.
 	MaxNNIters int
 	// Workers caps pipeline parallelism: 0 means the process default
-	// (SetDefaultParallelism / GOMAXPROCS), 1 forces the serial path.
+	// (the binaries' -parallelism flag / GOMAXPROCS), 1 forces the serial
+	// path.
 	// Results are bitwise-identical for any value.
 	Workers int
 	// Backend selects the background-classifier inference implementation

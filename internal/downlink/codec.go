@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/detector"
 	"repro/internal/evio"
 	"repro/internal/flightlog"
-	"repro/internal/geom"
 )
 
 // Delta-compressed evio codec for journal-segment backfill.
@@ -36,10 +36,13 @@ import (
 //     zeros and small per-field alphabets instead of interleaved noise.
 //
 // The preconditioned stream is then (by default) deflate-compressed.
-// Everything is bit-exact: Decode reconstructs each record's event list
-// and re-marshals it through evio.Marshal, and Encode falls back to
-// storing a record raw whenever the record is not a canonical evio blob,
-// so DecodeRecords(EncodeRecords(r)) is byte-identical to r for ANY record
+// Both directions work on evio bytes and never build a detector.Event:
+// Encode reads the fields of each canonical record (evio.Canonical: the
+// bytes evio.Marshal would give its decoded events) straight from the
+// record and stores any other record raw; Decode writes the records' evio
+// bytes straight from the columns, with each float32 field as an evio
+// decode and re-encode leaves it (evio.F32RoundTrip). So
+// DecodeRecords(EncodeRecords(r)) is byte-identical to r for ANY record
 // list. That is the property that lets ground reassembly reproduce the
 // onboard journal bitwise. The SigmaE model prediction is a compression
 // prior only — a journal written under a non-default detector config still
@@ -105,46 +108,107 @@ const (
 	numF32Fields
 )
 
-// plane32 is a byte-transposed XOR-delta column for one float32 field: the
-// bit pattern is XORed against the field's previous value and the four
-// result bytes land in four separate planes.
-type plane32 struct {
-	prev   uint32
-	planes [4][]byte
-}
+// Offsets of the fields the columns carry, within an evio event header
+// and hit (the layout of the evio package comment). The float32 columns
+// follow the layout's order: the four event-level fields from
+// evTrueSrc on, the seven hit-level ones before hitSigmaE from 0.
+const (
+	evNHits    = 0
+	evSource   = 2
+	evFlags    = 3
+	evTrueSrc  = 4
+	evArrival  = 20
+	hitE       = 12
+	hitSigmaE  = 28
+	hitLayer   = 32
+	evioFlags  = 1 // the flag bits evio defines
+	maxPoolBuf = 8 << 20
+)
 
-func (p *plane32) put(v float64) {
-	bits := math.Float32bits(float32(v))
-	d := bits ^ p.prev
-	p.prev = bits
-	p.planes[0] = append(p.planes[0], byte(d))
-	p.planes[1] = append(p.planes[1], byte(d>>8))
-	p.planes[2] = append(p.planes[2], byte(d>>16))
-	p.planes[3] = append(p.planes[3], byte(d>>24))
-}
-
-// sigmaEPredictor predicts a hit's reported SigmaE from its measured
+// sigmaEModel predicts a hit's reported SigmaE from its measured
 // energy using the default detector resolution model — the flight-side
 // truth for every journal this repo writes. It is only a prior: the
 // residual stream keeps the codec lossless for any input.
 var sigmaEModel = detector.DefaultConfig()
 
-func predictSigmaE(e float64) uint32 {
+// predictSigmaE is the model's SigmaE, as float32 bits, for the hit energy
+// whose float32 bits are eBits.
+func predictSigmaE(eBits uint32) uint32 {
+	e := float64(math.Float32frombits(eBits))
 	return math.Float32bits(float32(sigmaEModel.SigmaE(float64(float32(e)))))
 }
 
-// Deflate state is large to build and Reset makes it equivalent to a new
-// one, so batches reuse it: the output bytes do not change.
-var (
-	flateWriters = sync.Pool{New: func() any {
-		zw, err := flate.NewWriter(nil, flate.DefaultCompression)
-		if err != nil {
-			panic(err) // DefaultCompression is a valid level
+// appendBuf is an io.Writer appending to a reusable byte slice.
+type appendBuf struct{ b []byte }
+
+func (w *appendBuf) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+// encoder is the scratch of one EncodeRecords call: the body's streams and
+// the deflate state, which is large to build and which Reset makes
+// equivalent to a new one. Batches reuse it through a pool, so a batch
+// allocates only its output; the output bytes do not change.
+type encoder struct {
+	dir, nhits, srcflags, arrival, sigE, layer []byte
+	prev                                       [numF32Fields]uint32
+	planes                                     [numF32Fields][4][]byte
+	body                                       []byte
+	zbuf                                       appendBuf
+	zw                                         *flate.Writer
+}
+
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// put appends float32 bits to field f's column: XORed against the field's
+// previous value, the four result bytes in four separate planes.
+func (e *encoder) put(f int, bits uint32) {
+	d := bits ^ e.prev[f]
+	e.prev[f] = bits
+	pl := &e.planes[f]
+	pl[0] = append(pl[0], byte(d))
+	pl[1] = append(pl[1], byte(d>>8))
+	pl[2] = append(pl[2], byte(d>>16))
+	pl[3] = append(pl[3], byte(d>>24))
+}
+
+// reset empties every stream, keeping its storage.
+func (e *encoder) reset() {
+	e.dir, e.nhits, e.srcflags = e.dir[:0], e.nhits[:0], e.srcflags[:0]
+	e.arrival, e.sigE, e.layer = e.arrival[:0], e.sigE[:0], e.layer[:0]
+	e.prev = [numF32Fields]uint32{}
+	for f := range e.planes {
+		for i := range e.planes[f] {
+			e.planes[f][i] = e.planes[f][i][:0]
 		}
-		return zw
-	}}
-	flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
-)
+	}
+}
+
+// appendRecord appends the columns of one canonical record.
+func (e *encoder) appendRecord(rec []byte, prevArrival *uint64) {
+	for data := rec[evio.HeaderSize:]; len(data) > 0; {
+		n := int(binary.LittleEndian.Uint16(data[evNHits:]))
+		e.nhits = binary.AppendUvarint(e.nhits, uint64(n))
+		e.srcflags = append(e.srcflags, data[evSource], data[evFlags])
+		for f := 0; f < numEventFields; f++ {
+			e.put(f, binary.LittleEndian.Uint32(data[evTrueSrc+4*f:]))
+		}
+		bits := binary.LittleEndian.Uint64(data[evArrival:])
+		e.arrival = binary.AppendVarint(e.arrival, int64(bits-*prevArrival))
+		*prevArrival = bits
+		data = data[evio.EventHeaderSize:]
+		for ; n > 0; n-- {
+			for f := numEventFields; f < numF32Fields; f++ {
+				e.put(f, binary.LittleEndian.Uint32(data[4*(f-numEventFields):]))
+			}
+			sigE := binary.LittleEndian.Uint32(data[hitSigmaE:])
+			e.sigE = binary.AppendUvarint(e.sigE, uint64(sigE^predictSigmaE(binary.LittleEndian.Uint32(data[hitE:]))))
+			e.layer = binary.AppendUvarint(e.layer, uint64(data[hitLayer]))
+			data = data[evio.HitSize:]
+		}
+	}
+}
 
 // EncodeRecords packs a batch of journal record payloads into one
 // compressed message payload. The encoding is deterministic and
@@ -153,135 +217,140 @@ func EncodeRecords(records [][]byte, opts CodecOptions) ([]byte, error) {
 	if len(records) > MaxBatchRecords {
 		return nil, fmt.Errorf("downlink: batch of %d records exceeds limit %d", len(records), MaxBatchRecords)
 	}
-	var dir, nhits, srcflags, arrival, sigEresid, layer bytes.Buffer
-	fields := make([]plane32, numF32Fields)
-	var scratch [binary.MaxVarintLen64]byte
-	putU := func(w *bytes.Buffer, v uint64) {
-		w.Write(scratch[:binary.PutUvarint(scratch[:], v)])
-	}
-	putV := func(w *bytes.Buffer, v int64) {
-		w.Write(scratch[:binary.PutVarint(scratch[:], v)])
-	}
-
+	e := encoders.Get().(*encoder)
+	defer func() {
+		if cap(e.body) <= maxPoolBuf && cap(e.zbuf.b) <= maxPoolBuf {
+			encoders.Put(e)
+		}
+	}()
+	e.reset()
 	var prevArrival uint64
 	totalEvents, totalHits := 0, 0
 	for _, rec := range records {
 		if len(rec) > flightlog.MaxRecordBytes {
 			return nil, fmt.Errorf("downlink: record of %d bytes exceeds limit", len(rec))
 		}
-		events, canonical := canonicalEvents(rec)
-		if !canonical || totalEvents+len(events) > maxBatchEvents || totalHits+countHits(events) > maxBatchHits {
-			dir.WriteByte(1)
-			putU(&dir, uint64(len(rec)))
-			dir.Write(rec)
+		nEvents, nHits, canonical := evio.Canonical(rec)
+		if !canonical || totalEvents+nEvents > maxBatchEvents || totalHits+nHits > maxBatchHits {
+			e.dir = append(e.dir, 1)
+			e.dir = binary.AppendUvarint(e.dir, uint64(len(rec)))
+			e.dir = append(e.dir, rec...)
 			continue
 		}
-		dir.WriteByte(0)
-		putU(&dir, uint64(len(events)))
-		totalEvents += len(events)
-		for _, ev := range events {
-			putU(&nhits, uint64(len(ev.Hits)))
-			srcflags.WriteByte(uint8(ev.Source))
-			flagByte := byte(0)
-			if ev.FullyAbsorbed {
-				flagByte = 1
-			}
-			srcflags.WriteByte(flagByte)
-			fields[fTrueSrcX].put(ev.TrueSource.X)
-			fields[fTrueSrcY].put(ev.TrueSource.Y)
-			fields[fTrueSrcZ].put(ev.TrueSource.Z)
-			fields[fTrueEnergy].put(ev.TrueEnergy)
-			bits := math.Float64bits(ev.ArrivalTime)
-			putV(&arrival, int64(bits-prevArrival))
-			prevArrival = bits
-			totalHits += len(ev.Hits)
-			for i := range ev.Hits {
-				h := &ev.Hits[i]
-				fields[fPosX].put(h.Pos.X)
-				fields[fPosY].put(h.Pos.Y)
-				fields[fPosZ].put(h.Pos.Z)
-				fields[fHitE].put(h.E)
-				fields[fSigmaX].put(h.SigmaX)
-				fields[fSigmaY].put(h.SigmaY)
-				fields[fSigmaZ].put(h.SigmaZ)
-				putU(&sigEresid, uint64(math.Float32bits(float32(h.SigmaE))^predictSigmaE(h.E)))
-				putU(&layer, uint64(uint8(h.Layer)))
-			}
-		}
+		e.dir = append(e.dir, 0)
+		e.dir = binary.AppendUvarint(e.dir, uint64(nEvents))
+		totalEvents += nEvents
+		totalHits += nHits
+		e.appendRecord(rec, &prevArrival)
 	}
 
-	var body bytes.Buffer
-	writeStream := func(b *bytes.Buffer) {
-		putU(&body, uint64(b.Len()))
-		body.Write(b.Bytes())
+	body := e.body[:0]
+	stream := func(b []byte) {
+		body = binary.AppendUvarint(body, uint64(len(b)))
+		body = append(body, b...)
 	}
-	writeStream(&dir)
-	writeStream(&nhits)
-	body.Write(srcflags.Bytes()) // length implied: 2·totalEvents
-	writeStream(&arrival)
-	for i := range fields {
-		for _, pl := range fields[i].planes { // lengths implied by counts
-			body.Write(pl)
+	stream(e.dir)
+	stream(e.nhits)
+	body = append(body, e.srcflags...) // length implied: 2·totalEvents
+	stream(e.arrival)
+	for f := range e.planes {
+		for _, pl := range e.planes[f] { // lengths implied by counts
+			body = append(body, pl...)
 		}
 	}
-	writeStream(&sigEresid)
-	writeStream(&layer)
+	stream(e.sigE)
+	stream(e.layer)
+	e.body = body
 
 	flags := uint16(0)
-	payload := body.Bytes()
+	payload := body
 	if !opts.NoFlate {
-		var zb bytes.Buffer
-		zw := flateWriters.Get().(*flate.Writer)
-		zw.Reset(&zb)
-		_, err := zw.Write(payload)
-		if err == nil {
-			err = zw.Close()
+		e.zbuf.b = e.zbuf.b[:0]
+		if e.zw == nil {
+			zw, err := flate.NewWriter(&e.zbuf, flate.DefaultCompression)
+			if err != nil {
+				return nil, err // unreachable: DefaultCompression is a valid level
+			}
+			e.zw = zw
+		} else {
+			e.zw.Reset(&e.zbuf)
 		}
-		flateWriters.Put(zw)
-		if err != nil {
+		if _, err := e.zw.Write(body); err != nil {
 			return nil, err
 		}
-		payload = zb.Bytes()
+		if err := e.zw.Close(); err != nil {
+			return nil, err
+		}
+		payload = e.zbuf.b
 		flags |= codecFlagFlate
 	}
 
-	out := make([]byte, 0, 16+len(payload))
+	out := make([]byte, 0, 8+binary.MaxVarintLen64+len(payload))
 	out = append(out, codecMagic[:]...)
 	out = binary.LittleEndian.AppendUint16(out, CodecVersion)
 	out = binary.LittleEndian.AppendUint16(out, flags)
 	out = binary.AppendUvarint(out, uint64(len(records)))
-	out = append(out, payload...)
-	return out, nil
+	return append(out, payload...), nil
 }
 
-func countHits(events []*detector.Event) int {
-	n := 0
-	for _, ev := range events {
-		n += len(ev.Hits)
-	}
-	return n
+// decoder is the scratch of one DecodeRecords call: the inflated body, the
+// inflate state and the batch's record directory and hit counts, reused
+// through a pool. The records a call returns never alias it.
+type decoder struct {
+	src       bytes.Reader
+	zr        io.ReadCloser
+	body      []byte
+	metas     []recMeta
+	hitCounts []int
 }
 
-// canonicalEvents decodes rec as an evio blob and reports whether
-// re-marshaling the decoded events reproduces rec exactly. Only canonical
-// records take the delta path; anything else is stored raw, preserving the
-// bitwise contract unconditionally.
-func canonicalEvents(rec []byte) ([]*detector.Event, bool) {
-	events, err := evio.Unmarshal(rec)
-	if err != nil {
-		return nil, false
+// recMeta is one record of the directory: raw bytes, or a delta record's
+// event count.
+type recMeta struct {
+	raw     []byte // nil for delta records
+	nEvents int
+}
+
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
+
+// inflate decompresses body into the decoder's buffer, reading at most
+// limit bytes, and returns the buffer: io.ReadAll of an io.LimitReader,
+// without allocating once the buffer has grown.
+func (d *decoder) inflate(body []byte, limit int64) ([]byte, error) {
+	d.src.Reset(body)
+	if d.zr == nil {
+		d.zr = flate.NewReader(&d.src)
+	} else if err := d.zr.(flate.Resetter).Reset(&d.src, nil); err != nil {
+		return nil, err
 	}
-	canon, err := evio.Marshal(events)
-	if err != nil || !bytes.Equal(canon, rec) {
-		return nil, false
+	b := d.body[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the growth
+		}
+		room := b[len(b):cap(b)]
+		if rest := limit - int64(len(b)); int64(len(room)) > rest {
+			room = room[:rest]
+		}
+		n, err := d.zr.Read(room)
+		b = b[:len(b)+n]
+		d.body = b
+		switch {
+		case err == io.EOF:
+			return b, nil
+		case err != nil:
+			return nil, err
+		case int64(len(b)) == limit:
+			return b, nil // the rest is not read, as io.LimitReader would not
+		}
 	}
-	return events, true
 }
 
 // DecodeRecords inverts EncodeRecords, reproducing the original record
 // payloads byte for byte. It validates every count and length against the
 // package limits before allocating, and never panics on hostile input
-// (the property FuzzDeltaEvio pins).
+// (the property FuzzDeltaEvio pins). The records are capacity-clipped
+// slices of one buffer allocated for the batch.
 func DecodeRecords(data []byte) ([][]byte, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("downlink: codec payload too short (%d bytes)", len(data))
@@ -301,6 +370,13 @@ func DecodeRecords(data []byte) ([][]byte, error) {
 	if n <= 0 || nRecords > MaxBatchRecords {
 		return nil, fmt.Errorf("downlink: bad record count")
 	}
+	d := decoders.Get().(*decoder)
+	defer func() {
+		d.src.Reset(nil)
+		if cap(d.body) <= maxPoolBuf {
+			decoders.Put(d)
+		}
+	}()
 	body := rest[n:]
 	if flags&codecFlagFlate != 0 {
 		// Bound decompression to what the record count could legitimately
@@ -309,18 +385,13 @@ func DecodeRecords(data []byte) ([][]byte, error) {
 		// plus the length varints of the body's five prefixed streams.
 		const perRecord = flightlog.MaxRecordBytes + 1 + binary.MaxVarintLen64
 		limit := int64(nRecords)*perRecord + 5*binary.MaxVarintLen64 + 1
-		zr := flateReaders.Get().(io.ReadCloser)
-		if err := zr.(flate.Resetter).Reset(bytes.NewReader(body), nil); err != nil {
-			return nil, fmt.Errorf("downlink: inflate: %w", err)
-		}
-		raw, err := io.ReadAll(io.LimitReader(zr, limit))
-		flateReaders.Put(zr)
+		raw, err := d.inflate(body, limit)
 		if err != nil {
 			return nil, fmt.Errorf("downlink: inflate: %w", err)
 		}
 		body = raw
 	}
-	return decodeBody(body, int(nRecords))
+	return d.decodeBody(body, int(nRecords))
 }
 
 // cursor is a bounds-checked reader over one length-delimited stream.
@@ -373,7 +444,20 @@ func (c *cursor) drained() error {
 	return nil
 }
 
-// planeReader undoes plane32: four parallel byte planes XOR-accumulated
+// stream reads one length-prefixed stream of the body at c.
+func (c *cursor) stream(name string) (cursor, error) {
+	ln, err := c.uvarint()
+	if err != nil {
+		return cursor{}, err
+	}
+	if ln > uint64(len(c.b)-c.off) {
+		return cursor{}, fmt.Errorf("downlink: %s stream of %d bytes exceeds body", name, ln)
+	}
+	b, err := c.take(int(ln))
+	return cursor{name: name, b: b}, err
+}
+
+// planeReader undoes a column: four parallel byte planes XOR-accumulated
 // into float32 bit patterns.
 type planeReader struct {
 	prev   uint32
@@ -381,44 +465,27 @@ type planeReader struct {
 	off    int
 }
 
-func (p *planeReader) next() float64 {
+func (p *planeReader) next() uint32 {
 	d := uint32(p.planes[0][p.off]) |
 		uint32(p.planes[1][p.off])<<8 |
 		uint32(p.planes[2][p.off])<<16 |
 		uint32(p.planes[3][p.off])<<24
 	p.off++
 	p.prev ^= d
-	return float64(math.Float32frombits(p.prev))
+	return p.prev
 }
 
 // decodeBody parses the preconditioned stream bundle back into records.
-func decodeBody(body []byte, nRecords int) ([][]byte, error) {
-	top := &cursor{name: "body", b: body}
-	stream := func(name string) (*cursor, error) {
-		ln, err := top.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ln > uint64(len(top.b)-top.off) {
-			return nil, fmt.Errorf("downlink: %s stream of %d bytes exceeds body", name, ln)
-		}
-		b, err := top.take(int(ln))
-		if err != nil {
-			return nil, err
-		}
-		return &cursor{name: name, b: b}, nil
-	}
+func (d *decoder) decodeBody(body []byte, nRecords int) ([][]byte, error) {
+	top := cursor{name: "body", b: body}
 
 	// Pass 1: the record directory fixes the shape of everything after it.
-	dir, err := stream("dir")
+	dir, err := top.stream("dir")
 	if err != nil {
 		return nil, err
 	}
-	type recMeta struct {
-		raw     []byte // nil for delta records
-		nEvents int
-	}
-	metas := make([]recMeta, 0, min(nRecords, 4096))
+	metas := d.metas[:0]
+	defer func() { clear(metas); d.metas = metas[:0] }() // drop the raw slices into body
 	totalEvents := 0
 	for i := 0; i < nRecords; i++ {
 		kind, err := dir.byte()
@@ -458,11 +525,12 @@ func decodeBody(body []byte, nRecords int) ([][]byte, error) {
 	}
 
 	// Pass 2: hit counts fix the hit-level column sizes.
-	nhits, err := stream("nhits")
+	nhits, err := top.stream("nhits")
 	if err != nil {
 		return nil, err
 	}
-	hitCounts := make([]int, totalEvents)
+	hitCounts := slices.Grow(d.hitCounts[:0], totalEvents)[:totalEvents]
+	d.hitCounts = hitCounts
 	totalHits := 0
 	for i := range hitCounts {
 		nh, err := nhits.uvarint()
@@ -483,11 +551,11 @@ func decodeBody(body []byte, nRecords int) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	arrival, err := stream("arrival")
+	arrival, err := top.stream("arrival")
 	if err != nil {
 		return nil, err
 	}
-	fields := make([]planeReader, numF32Fields)
+	var fields [numF32Fields]planeReader
 	for i := range fields {
 		count := totalEvents
 		if i >= numEventFields {
@@ -501,11 +569,11 @@ func decodeBody(body []byte, nRecords int) ([][]byte, error) {
 			fields[i].planes[pl] = b
 		}
 	}
-	sigEresid, err := stream("sigEresid")
+	sigEresid, err := top.stream("sigEresid")
 	if err != nil {
 		return nil, err
 	}
-	layer, err := stream("layer")
+	layer, err := top.stream("layer")
 	if err != nil {
 		return nil, err
 	}
@@ -513,44 +581,53 @@ func decodeBody(body []byte, nRecords int) ([][]byte, error) {
 		return nil, err
 	}
 
-	// Pass 3: reconstruct each record and re-marshal through evio.
-	var prevArrival uint64
-	evIdx := 0
-	records := make([][]byte, 0, len(metas))
+	// Pass 3: write each record's evio bytes into one output buffer.
+	size := 0
 	for _, m := range metas {
 		if m.raw != nil {
-			records = append(records, append([]byte(nil), m.raw...))
+			size += len(m.raw)
+		} else {
+			size += evio.HeaderSize + m.nEvents*evio.EventHeaderSize
+		}
+	}
+	out := make([]byte, size+totalHits*evio.HitSize)
+	records := make([][]byte, 0, len(metas))
+	var prevArrival uint64
+	evIdx, off := 0, 0
+	for _, m := range metas {
+		start := off
+		if m.raw != nil {
+			off += copy(out[off:], m.raw)
+			records = append(records, out[start:off:off])
 			continue
 		}
-		events := make([]*detector.Event, 0, m.nEvents)
+		off = len(evio.AppendHeader(out[:off]))
 		for e := 0; e < m.nEvents; e++ {
 			nh := hitCounts[evIdx]
-			ev := &detector.Event{
-				Source:        detector.SourceKind(srcflags[2*evIdx]),
-				FullyAbsorbed: srcflags[2*evIdx+1]&1 != 0,
-				Hits:          make([]detector.Hit, nh),
+			ev := out[off : off+evio.EventHeaderSize]
+			binary.LittleEndian.PutUint16(ev[evNHits:], uint16(nh))
+			ev[evSource] = srcflags[2*evIdx]
+			ev[evFlags] = srcflags[2*evIdx+1] & evioFlags
+			for f := 0; f < numEventFields; f++ {
+				binary.LittleEndian.PutUint32(ev[evTrueSrc+4*f:], evio.F32RoundTrip(fields[f].next()))
 			}
-			ev.TrueSource.X = fields[fTrueSrcX].next()
-			ev.TrueSource.Y = fields[fTrueSrcY].next()
-			ev.TrueSource.Z = fields[fTrueSrcZ].next()
-			ev.TrueEnergy = fields[fTrueEnergy].next()
-			d, err := arrival.varint()
+			delta, err := arrival.varint()
 			if err != nil {
 				return nil, err
 			}
-			prevArrival += uint64(d)
-			ev.ArrivalTime = math.Float64frombits(prevArrival)
-			for h := range ev.Hits {
-				hit := &ev.Hits[h]
-				hit.Pos = geom.Vec{
-					X: fields[fPosX].next(),
-					Y: fields[fPosY].next(),
-					Z: fields[fPosZ].next(),
+			prevArrival += uint64(delta)
+			binary.LittleEndian.PutUint64(ev[evArrival:], prevArrival)
+			off += evio.EventHeaderSize
+			for h := 0; h < nh; h++ {
+				hit := out[off : off+evio.HitSize]
+				var eBits uint32
+				for f := numEventFields; f < numF32Fields; f++ {
+					bits := fields[f].next()
+					if f == fHitE {
+						eBits = bits
+					}
+					binary.LittleEndian.PutUint32(hit[4*(f-numEventFields):], evio.F32RoundTrip(bits))
 				}
-				hit.E = fields[fHitE].next()
-				hit.SigmaX = fields[fSigmaX].next()
-				hit.SigmaY = fields[fSigmaY].next()
-				hit.SigmaZ = fields[fSigmaZ].next()
 				resid, err := sigEresid.uvarint()
 				if err != nil {
 					return nil, err
@@ -558,7 +635,7 @@ func decodeBody(body []byte, nRecords int) ([][]byte, error) {
 				if resid > math.MaxUint32 {
 					return nil, fmt.Errorf("downlink: sigmaE residual out of range")
 				}
-				hit.SigmaE = float64(math.Float32frombits(uint32(resid) ^ predictSigmaE(hit.E)))
+				binary.LittleEndian.PutUint32(hit[hitSigmaE:], evio.F32RoundTrip(uint32(resid)^predictSigmaE(eBits)))
 				ly, err := layer.uvarint()
 				if err != nil {
 					return nil, err
@@ -566,18 +643,14 @@ func decodeBody(body []byte, nRecords int) ([][]byte, error) {
 				if ly > math.MaxUint8 {
 					return nil, fmt.Errorf("downlink: layer %d out of range", ly)
 				}
-				hit.Layer = int(ly)
+				hit[hitLayer] = byte(ly) // the padding after it is already zero
+				off += evio.HitSize
 			}
-			events = append(events, ev)
 			evIdx++
 		}
-		rec, err := evio.Marshal(events)
-		if err != nil {
-			return nil, err
-		}
-		records = append(records, rec)
+		records = append(records, out[start:off:off])
 	}
-	for _, c := range []*cursor{arrival, sigEresid, layer} {
+	for _, c := range []*cursor{&arrival, &sigEresid, &layer} {
 		if err := c.drained(); err != nil {
 			return nil, err
 		}

@@ -163,6 +163,33 @@ type txChunk struct {
 	inRetx     bool
 }
 
+// rtoTimer is one armed retransmission timeout: chunk seq times out at at,
+// unless it has since been acked, queued for retransmission or sent again.
+type rtoTimer struct {
+	at  float64
+	seq uint32
+}
+
+// rtoHeap orders timeouts by (time, seq). Timeouts that no longer hold are
+// left in it and skipped when they reach the top.
+type rtoHeap []rtoTimer
+
+func (h rtoHeap) Len() int { return len(h) }
+func (h rtoHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h rtoHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *rtoHeap) Push(x interface{}) { *h = append(*h, x.(rtoTimer)) }
+func (h *rtoHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
 // linkEvent is one scheduled future happening on the emulated link.
 type linkEvent struct {
 	t     float64
@@ -209,6 +236,7 @@ type Session struct {
 	ground *Reassembler
 
 	outstanding map[uint32]*txChunk
+	rtos        rtoHeap
 	retxQ       [NumClasses][]uint32
 
 	tokens     float64
@@ -436,32 +464,36 @@ func (s *Session) nextTxTime() float64 {
 	return s.windowOpenAt(t)
 }
 
-// nextRTO returns the earliest retransmission-timeout instant.
+// armed reports whether timer r still holds: its chunk is unacked, not
+// queued for retransmission, and was last sent when r was set.
+func (s *Session) armed(r rtoTimer) bool {
+	tc, ok := s.outstanding[r.seq]
+	return ok && !tc.inRetx && tc.rtoAt == r.at
+}
+
+// nextRTO returns the earliest retransmission-timeout instant, dropping
+// the timers that no longer hold from the top of the heap.
 func (s *Session) nextRTO() float64 {
-	t := math.Inf(1)
-	for _, tc := range s.outstanding {
-		if !tc.inRetx && tc.rtoAt < t {
-			t = tc.rtoAt
+	for len(s.rtos) > 0 {
+		if r := s.rtos[0]; s.armed(r) {
+			return r.at
 		}
+		heap.Pop(&s.rtos)
 	}
-	return t
+	return math.Inf(1)
 }
 
 // expireRTO moves every chunk whose timeout passed into the retransmit
-// queue.
+// queue. Advance calls it at the earliest armed timeout, so every chunk it
+// moves timed out at that one instant, and the heap yields them in seq
+// order.
 func (s *Session) expireRTO(t float64) {
-	// Deterministic order: collect and sort by seq.
-	var due []uint32
-	for seq, tc := range s.outstanding {
-		if !tc.inRetx && tc.rtoAt <= t {
-			due = append(due, seq)
+	for len(s.rtos) > 0 && s.rtos[0].at <= t {
+		if r := heap.Pop(&s.rtos).(rtoTimer); s.armed(r) {
+			tc := s.outstanding[r.seq]
+			tc.inRetx = true
+			s.retxQ[tc.chunk.Class] = append(s.retxQ[tc.chunk.Class], r.seq)
 		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, seq := range due {
-		tc := s.outstanding[seq]
-		tc.inRetx = true
-		s.retxQ[tc.chunk.Class] = append(s.retxQ[tc.chunk.Class], seq)
 	}
 }
 
@@ -489,6 +521,7 @@ func (s *Session) transmit(t float64) {
 	s.refill(t)
 	s.tokens -= float64(len(frame))
 	tc.rtoAt = t + s.cfg.RTOSec
+	heap.Push(&s.rtos, rtoTimer{at: tc.rtoAt, seq: tc.chunk.Seq})
 
 	s.stats.ChunksSent++
 	s.stats.ChunksByClass[class]++

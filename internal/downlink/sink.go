@@ -86,13 +86,11 @@ func (s *DirSink) OnMessage(class Class, msgID uint32, payload []byte, _ float64
 			s.err = fmt.Errorf("downlink: ground decode of journal msg %d: %w", msgID, err)
 			return
 		}
-		for _, rec := range records {
-			if err := s.journal.Append(rec); err != nil {
-				s.err = err
-				return
-			}
-			s.JournalRecords++
+		if err := s.journal.AppendBatch(records); err != nil {
+			s.err = err
+			return
 		}
+		s.JournalRecords += len(records)
 	default:
 		s.err = fmt.Errorf("downlink: delivered message of unknown class %d", class)
 		return

@@ -44,21 +44,23 @@ const (
 	flagFullyAbsorbed = 1 << 0
 )
 
-// Fixed sizes of the layout's three parts, in bytes.
+// Fixed sizes of the layout's three parts, in bytes. Codecs that work on
+// evio bytes directly (the downlink batch codec) read and write the fields
+// at the offsets the package comment gives.
 const (
-	fileHeaderSize  = 8
-	eventHeaderSize = 28
-	hitSize         = 36
+	HeaderSize      = 8
+	EventHeaderSize = 28
+	HitSize         = 36
 )
 
-// appendFileHeader appends the stream header to b.
-func appendFileHeader(b []byte) []byte {
+// AppendHeader appends the stream header to b.
+func AppendHeader(b []byte) []byte {
 	b = append(b, magic[:]...)
 	b = binary.LittleEndian.AppendUint16(b, Version)
 	return binary.LittleEndian.AppendUint16(b, 0) // reserved
 }
 
-// checkFileHeader validates a fileHeaderSize-byte stream header.
+// checkFileHeader validates a HeaderSize-byte stream header.
 func checkFileHeader(h []byte) error {
 	if m := [4]byte(h[:4]); m != magic {
 		return fmt.Errorf("evio: bad magic %q", m)
@@ -79,7 +81,7 @@ func checkHits(ev *detector.Event) error {
 
 // recordSize is the encoded size of ev's record.
 func recordSize(ev *detector.Event) int {
-	return eventHeaderSize + len(ev.Hits)*hitSize
+	return EventHeaderSize + len(ev.Hits)*HitSize
 }
 
 func appendF32(b []byte, v float64) []byte {
@@ -120,22 +122,21 @@ func appendEvent(b []byte, ev *detector.Event) []byte {
 	return b
 }
 
-// decodeEventHeader decodes an eventHeaderSize-byte event header into a
-// new event without hits, and returns the hit count it announces.
-func decodeEventHeader(rec []byte) (*detector.Event, int) {
-	rec = rec[:eventHeaderSize]
-	return &detector.Event{
-		Source:        detector.SourceKind(rec[2]),
-		TrueSource:    geom.Vec{X: getF32(rec[4:]), Y: getF32(rec[8:]), Z: getF32(rec[12:])},
-		TrueEnergy:    getF32(rec[16:]),
-		ArrivalTime:   math.Float64frombits(binary.LittleEndian.Uint64(rec[20:])),
-		FullyAbsorbed: rec[3]&flagFullyAbsorbed != 0,
-	}, int(binary.LittleEndian.Uint16(rec[0:]))
+// decodeEventHeader decodes an EventHeaderSize-byte event header into ev,
+// leaving its hits alone, and returns the hit count it announces.
+func decodeEventHeader(rec []byte, ev *detector.Event) int {
+	rec = rec[:EventHeaderSize]
+	ev.Source = detector.SourceKind(rec[2])
+	ev.TrueSource = geom.Vec{X: getF32(rec[4:]), Y: getF32(rec[8:]), Z: getF32(rec[12:])}
+	ev.TrueEnergy = getF32(rec[16:])
+	ev.ArrivalTime = math.Float64frombits(binary.LittleEndian.Uint64(rec[20:]))
+	ev.FullyAbsorbed = rec[3]&flagFullyAbsorbed != 0
+	return int(binary.LittleEndian.Uint16(rec[0:]))
 }
 
-// decodeHit decodes one hitSize-byte hit.
+// decodeHit decodes one HitSize-byte hit.
 func decodeHit(rec []byte) detector.Hit {
-	rec = rec[:hitSize]
+	rec = rec[:HitSize]
 	return detector.Hit{
 		Pos:    geom.Vec{X: getF32(rec[0:]), Y: getF32(rec[4:]), Z: getF32(rec[8:])},
 		E:      getF32(rec[12:]),
@@ -165,7 +166,7 @@ func (w *Writer) header() error {
 		return nil
 	}
 	w.wrote = true
-	_, err := w.w.Write(appendFileHeader(w.w.AvailableBuffer()))
+	_, err := w.w.Write(AppendHeader(w.w.AvailableBuffer()))
 	return err
 }
 
@@ -215,7 +216,7 @@ func (r *Reader) start() error {
 		return nil
 	}
 	r.started = true
-	var h [fileHeaderSize]byte
+	var h [HeaderSize]byte
 	if _, err := io.ReadFull(r.r, h[:]); err == io.EOF {
 		return io.EOF
 	} else if err != nil {
@@ -229,18 +230,19 @@ func (r *Reader) ReadEvent() (*detector.Event, error) {
 	if err := r.start(); err != nil {
 		return nil, err
 	}
-	var rec [max(eventHeaderSize, hitSize)]byte
-	if _, err := io.ReadFull(r.r, rec[:eventHeaderSize]); err == io.EOF {
+	var rec [max(EventHeaderSize, HitSize)]byte
+	if _, err := io.ReadFull(r.r, rec[:EventHeaderSize]); err == io.EOF {
 		return nil, io.EOF
 	} else if err != nil {
 		return nil, fmt.Errorf("evio: event header: %w", err)
 	}
-	ev, n := decodeEventHeader(rec[:])
+	ev := new(detector.Event)
+	n := decodeEventHeader(rec[:], ev)
 	// The count is untrusted: size the slice by the hits already
 	// buffered and let it grow as more arrive.
-	ev.Hits = make([]detector.Hit, 0, min(n, r.r.Buffered()/hitSize))
+	ev.Hits = make([]detector.Hit, 0, min(n, r.r.Buffered()/HitSize))
 	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r.r, rec[:hitSize]); err != nil {
+		if _, err := io.ReadFull(r.r, rec[:HitSize]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF // the event header promised this hit
 			}
@@ -282,14 +284,21 @@ func WriteAll(w io.Writer, events []*detector.Event) error {
 // event or exposure). The encoding is deterministic: equal event lists
 // produce equal bytes.
 func Marshal(events []*detector.Event) ([]byte, error) {
-	size := fileHeaderSize
+	return AppendMarshal(nil, events)
+}
+
+// AppendMarshal appends the Marshal encoding of events to dst and returns
+// the extended slice, growing dst at most once. On error dst is returned
+// unchanged.
+func AppendMarshal(dst []byte, events []*detector.Event) ([]byte, error) {
+	size := HeaderSize
 	for _, ev := range events {
 		if err := checkHits(ev); err != nil {
-			return nil, err
+			return dst, err
 		}
 		size += recordSize(ev)
 	}
-	b := appendFileHeader(make([]byte, 0, size))
+	b := AppendHeader(slices.Grow(dst, size))
 	for _, ev := range events {
 		b = appendEvent(b, ev)
 	}
@@ -303,31 +312,153 @@ func Unmarshal(data []byte) ([]*detector.Event, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	if len(data) < fileHeaderSize {
+	if len(data) < HeaderSize {
 		return nil, fmt.Errorf("evio: stream header: %w", io.ErrUnexpectedEOF)
 	}
 	if err := checkFileHeader(data); err != nil {
 		return nil, err
 	}
-	data = data[fileHeaderSize:]
+	data = data[HeaderSize:]
 	var out []*detector.Event
 	for len(data) > 0 {
-		if len(data) < eventHeaderSize {
+		if len(data) < EventHeaderSize {
 			return out, fmt.Errorf("evio: event header: %w", io.ErrUnexpectedEOF)
 		}
-		ev, n := decodeEventHeader(data)
-		data = data[eventHeaderSize:]
+		ev := new(detector.Event)
+		n := decodeEventHeader(data, ev)
+		data = data[EventHeaderSize:]
 		// Check the untrusted count against the bytes present before
 		// allocating for it.
-		if len(data) < n*hitSize {
-			return out, fmt.Errorf("evio: hit %d: %w", len(data)/hitSize, io.ErrUnexpectedEOF)
+		if len(data) < n*HitSize {
+			return out, fmt.Errorf("evio: hit %d: %w", len(data)/HitSize, io.ErrUnexpectedEOF)
 		}
 		ev.Hits = make([]detector.Hit, n)
 		for i := range ev.Hits {
-			ev.Hits[i] = decodeHit(data[i*hitSize:])
+			ev.Hits[i] = decodeHit(data[i*HitSize:])
 		}
-		data = data[n*hitSize:]
+		data = data[n*HitSize:]
 		out = append(out, ev)
 	}
 	return out, nil
+}
+
+// streamShape validates an in-memory stream as Unmarshal does, without
+// decoding it, and returns how many events and hits it holds.
+func streamShape(data []byte) (events, hits int, err error) {
+	if len(data) == 0 {
+		return 0, 0, nil
+	}
+	if len(data) < HeaderSize {
+		return 0, 0, fmt.Errorf("evio: stream header: %w", io.ErrUnexpectedEOF)
+	}
+	if err := checkFileHeader(data); err != nil {
+		return 0, 0, err
+	}
+	for data = data[HeaderSize:]; len(data) > 0; events++ {
+		if len(data) < EventHeaderSize {
+			return 0, 0, fmt.Errorf("evio: event header: %w", io.ErrUnexpectedEOF)
+		}
+		n := int(binary.LittleEndian.Uint16(data))
+		data = data[EventHeaderSize:]
+		if len(data) < n*HitSize {
+			return 0, 0, fmt.Errorf("evio: hit %d: %w", len(data)/HitSize, io.ErrUnexpectedEOF)
+		}
+		data = data[n*HitSize:]
+		hits += n
+	}
+	return events, hits, nil
+}
+
+// UnmarshalSlab decodes a sequence of in-memory streams — one journal
+// record each, say — into one event slab, in order, returning the events
+// Unmarshal would return for the streams in turn. All hits share one hit
+// slab, and each event's Hits is capped at its own length, so appending to
+// one event's hits never writes into another's. The two slabs are the only
+// allocations. Any stream Unmarshal rejects fails the whole call.
+func UnmarshalSlab(streams [][]byte) ([]detector.Event, error) {
+	nEvents, nHits := 0, 0
+	for _, data := range streams {
+		e, h, err := streamShape(data)
+		if err != nil {
+			return nil, err
+		}
+		nEvents, nHits = nEvents+e, nHits+h
+	}
+	evs := make([]detector.Event, nEvents)
+	hits := make([]detector.Hit, nHits)
+	k := 0
+	for _, data := range streams {
+		for data = data[min(len(data), HeaderSize):]; len(data) > 0; k++ {
+			ev := &evs[k]
+			n := decodeEventHeader(data, ev)
+			data = data[EventHeaderSize:]
+			ev.Hits, hits = hits[:n:n], hits[n:]
+			for i := range ev.Hits {
+				ev.Hits[i] = decodeHit(data[i*HitSize:])
+			}
+			data = data[n*HitSize:]
+		}
+	}
+	return evs, nil
+}
+
+// Canonical reports whether rec is exactly the encoding Marshal gives the
+// events Unmarshal decodes from it — Marshal(Unmarshal(rec)) == rec —
+// and if so how many events and hits it holds. It decides from the bytes
+// alone: the stream must decode, its reserved header bytes, unknown flag
+// bits and hit padding must be zero, and no float32 field may hold a
+// signaling NaN, which the float64 round trip quiets (F32RoundTrip). The
+// downlink codec uses it to pick the records it can store as columns.
+func Canonical(rec []byte) (events, hits int, ok bool) {
+	if len(rec) < HeaderSize || checkFileHeader(rec) != nil ||
+		binary.LittleEndian.Uint16(rec[6:]) != 0 {
+		return 0, 0, false
+	}
+	for data := rec[HeaderSize:]; len(data) > 0; events++ {
+		if len(data) < EventHeaderSize || data[3]&^flagFullyAbsorbed != 0 {
+			return 0, 0, false
+		}
+		for off := 4; off < 20; off += 4 {
+			if !stableF32(data[off:]) {
+				return 0, 0, false
+			}
+		}
+		n := int(binary.LittleEndian.Uint16(data))
+		data = data[EventHeaderSize:]
+		if len(data) < n*HitSize {
+			return 0, 0, false
+		}
+		for h := data[:n*HitSize]; len(h) > 0; h = h[HitSize:] {
+			for off := 0; off < 32; off += 4 {
+				if !stableF32(h[off:]) {
+					return 0, 0, false
+				}
+			}
+			if h[33]|h[34]|h[35] != 0 {
+				return 0, 0, false
+			}
+		}
+		data = data[n*HitSize:]
+		hits += n
+	}
+	return events, hits, true
+}
+
+// stableF32 reports whether the float32 at b survives decoding to float64
+// and re-encoding unchanged.
+func stableF32(b []byte) bool {
+	bits := binary.LittleEndian.Uint32(b)
+	return F32RoundTrip(bits) == bits
+}
+
+// F32RoundTrip returns the bits a float32 field holds after it is decoded
+// to float64 and encoded again, as Unmarshal followed by Marshal does: the
+// same bits, except that a signaling NaN comes back quiet, with its
+// payload kept, as IEEE 754 conversions do (TestF32RoundTrip checks the
+// running platform's).
+func F32RoundTrip(bits uint32) uint32 {
+	if bits&0x7f800000 == 0x7f800000 && bits&0x007fffff != 0 {
+		return bits | 0x00400000
+	}
+	return bits
 }

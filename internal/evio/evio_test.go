@@ -381,8 +381,8 @@ func TestTruncationInsideEventIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := map[int]int{0: 0, fileHeaderSize: 0} // cut → events before it
-	off := fileHeaderSize
+	ends := map[int]int{0: 0, HeaderSize: 0} // cut → events before it
+	off := HeaderSize
 	for i, ev := range events {
 		off += recordSize(ev)
 		ends[off] = i + 1
@@ -408,8 +408,8 @@ func TestTruncationInsideEventIsAnError(t *testing.T) {
 // allocating in proportion to the 36 bytes present, not the 4.7 MB the
 // count asks for.
 func TestHostileHitCountAllocatesByBytesPresent(t *testing.T) {
-	data := appendFileHeader(nil)
-	hdr := make([]byte, eventHeaderSize)
+	data := AppendHeader(nil)
+	hdr := make([]byte, EventHeaderSize)
 	binary.LittleEndian.PutUint16(hdr, math.MaxUint16)
 	data = append(data, hdr...)
 	for name, decode := range decoders {

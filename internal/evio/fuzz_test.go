@@ -56,7 +56,22 @@ func fuzzSeeds(f *testing.F) {
 	// Multi-segment with an empty first segment (header-only prefix).
 	f.Add(append(append([]byte{}, empty.Bytes()...), valid.Bytes()...))
 	// Truncated exactly between the two hits of the first event.
-	f.Add(valid.Bytes()[:fileHeaderSize+eventHeaderSize+hitSize])
+	f.Add(valid.Bytes()[:HeaderSize+EventHeaderSize+HitSize])
+	// Decodable but not canonical: a flag bit above the first, nonzero hit
+	// padding and reserved header bytes, a signaling NaN hit energy.
+	for _, mut := range []struct {
+		off int
+		v   []byte
+	}{
+		{HeaderSize + 3, []byte{0x03}},
+		{HeaderSize + EventHeaderSize + 33, []byte{0x01}},
+		{6, []byte{0x01, 0x00}},
+		{HeaderSize + EventHeaderSize + 12, []byte{0x01, 0x00, 0x80, 0x7f}},
+	} {
+		b := append([]byte(nil), valid.Bytes()...)
+		copy(b[mut.off:], mut.v)
+		f.Add(b)
+	}
 }
 
 // FuzzReader feeds arbitrary bytes to the stream reader — the same path
@@ -98,7 +113,9 @@ func FuzzReader(f *testing.F) {
 // FuzzUnmarshal checks that the in-memory decoder and the stream reader
 // are one codec: on every input they both accept or both reject, and
 // return the same events. On accepted input the two encoders must agree
-// as well. Run with `go test -fuzz=FuzzUnmarshal ./internal/evio`.
+// as well, UnmarshalSlab must decode the same events, and Canonical must
+// say whether Marshal gives the input back. Run with
+// `go test -fuzz=FuzzUnmarshal ./internal/evio`.
 func FuzzUnmarshal(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -112,8 +129,20 @@ func FuzzUnmarshal(f *testing.F) {
 		if aerr != nil || berr != nil || len(got) != len(want) || !bytes.Equal(a, b) {
 			t.Fatalf("Unmarshal gave %d events, ReadAll %d; encodings differ (%v, %v)", len(got), len(want), aerr, berr)
 		}
+		slab, serr := UnmarshalSlab([][]byte{data})
+		if (serr == nil) != (err == nil) {
+			t.Fatalf("UnmarshalSlab err %v, Unmarshal err %v", serr, err)
+		}
+		if _, _, ok := Canonical(data); ok != (err == nil && bytes.Equal(a, data)) {
+			t.Fatalf("Canonical %v, but Marshal(Unmarshal(data)) == data is %v", ok, !ok)
+		}
 		if err != nil {
 			return
+		}
+		for i := range slab {
+			if !sameAsStored(&slab[i], got[i]) {
+				t.Fatalf("UnmarshalSlab event %d differs from Unmarshal's", i)
+			}
 		}
 		var buf bytes.Buffer
 		if werr := WriteAll(&buf, got); werr != nil || !bytes.Equal(buf.Bytes(), a) {

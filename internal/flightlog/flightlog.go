@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -48,9 +49,10 @@ const (
 	// it is treated as corruption rather than an allocation request.
 	MaxRecordBytes = 1 << 26 // 64 MiB
 	// maxKeptFrameBuf bounds the framing buffer a Journal keeps between
-	// appends: per-event records reuse it, while a whole-exposure record
+	// appends: per-event records and their batches (a full stream queue of
+	// events is a few hundred KiB) reuse it, while a whole-exposure record
 	// grows a one-off buffer instead of pinning megabytes.
-	maxKeptFrameBuf = 64 << 10
+	maxKeptFrameBuf = 1 << 20
 )
 
 // SyncPolicy selects when appended records are fsynced to stable storage.
@@ -133,6 +135,12 @@ type Stats struct {
 	TotalBytes int64
 	// Appended counts records appended through this handle.
 	Appended int64
+	// Writes counts the write(2) calls that carried those records: one per
+	// Append, fewer than Appended for batches.
+	Writes int64
+	// Syncs counts the fsyncs this handle issued: by policy, at rotation,
+	// and from Sync and Close.
+	Syncs int64
 	// RecoveredTruncation reports how many bytes Open cut from a torn
 	// tail (0 for a clean journal).
 	RecoveredTruncation int64
@@ -150,9 +158,11 @@ type Journal struct {
 	segBorn   time.Time
 	unsynced  int64
 	appended  int64
+	writes    int64
+	syncs     int64
 	recovered int64
 	closed    bool
-	buf       []byte // frame+payload of the record being appended
+	buf       []byte // framed records of the batch being appended
 }
 
 // Dir returns the journal's directory, as passed to Open.
@@ -265,52 +275,100 @@ func (j *Journal) writeHeader() error {
 
 // Append frames payload into one record and appends it to the active
 // segment, rotating and applying retention first if the segment is full.
+// It is the one-record case of AppendBatch.
 func (j *Journal) Append(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("flightlog: record of %d bytes exceeds MaxRecordBytes", len(payload))
+	return j.AppendBatch([][]byte{payload})
+}
+
+// AppendBatch appends each payload as one record, in order. The segment
+// files, rotations, retention and fsyncs are exactly those of one Append
+// per payload: the batch only saves system calls. Records are framed into
+// one buffer that is written when the batch ends, before a rotation, and
+// before an fsync the sync policy calls for — so a batch costs one
+// write(2) per segment it touches (plus one per fsync point), and every
+// fsync covers the same records it would after single appends. A payload
+// over MaxRecordBytes fails the whole batch before anything is written.
+// AppendBatch does not retain payloads.
+func (j *Journal) AppendBatch(payloads [][]byte) error {
+	size := 0
+	for _, p := range payloads {
+		if len(p) > MaxRecordBytes {
+			return fmt.Errorf("flightlog: record of %d bytes exceeds MaxRecordBytes", len(p))
+		}
+		size += frameSize + len(p)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return errors.New("flightlog: append after Close")
 	}
-	if j.segBytes >= j.opts.SegmentBytes ||
-		(j.opts.SegmentMaxAge > 0 && j.segBytes > headerSize &&
-			j.opts.Now().Sub(j.segBorn) >= j.opts.SegmentMaxAge) {
-		if err := j.rotateLocked(); err != nil {
+	// buf holds the framed records not yet written, pending how many.
+	buf, pending := slices.Grow(j.buf[:0], min(size, maxKeptFrameBuf)), int64(0)
+	flush := func() error {
+		if pending == 0 {
+			return nil
+		}
+		if _, err := j.f.Write(buf); err != nil {
 			return err
 		}
+		j.segBytes += int64(len(buf))
+		j.appended += pending
+		j.writes++
+		buf, pending = buf[:0], 0
+		return nil
 	}
-	// One write per record: the frame and payload go out together.
-	rec := binary.LittleEndian.AppendUint32(j.buf[:0], uint32(len(payload)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	rec = append(rec, payload...)
-	if cap(rec) <= maxKeptFrameBuf {
-		j.buf = rec
-	}
-	if _, err := j.f.Write(rec); err != nil {
-		return err
-	}
-	n := int64(len(rec))
-	j.segBytes += n
-	j.appended++
-	switch j.opts.Sync {
-	case SyncAlways:
-		return j.f.Sync()
-	case SyncInterval:
-		j.unsynced += n
-		if j.unsynced >= j.opts.SyncEveryBytes {
-			j.unsynced = 0
-			return j.f.Sync()
+	err := func() error {
+		for _, p := range payloads {
+			if j.segBytes+int64(len(buf)) >= j.opts.SegmentBytes ||
+				(j.opts.SegmentMaxAge > 0 && j.segBytes+int64(len(buf)) > headerSize &&
+					j.opts.Now().Sub(j.segBorn) >= j.opts.SegmentMaxAge) {
+				if err := flush(); err != nil {
+					return err
+				}
+				if err := j.rotateLocked(); err != nil {
+					return err
+				}
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
+			buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(p))
+			buf = append(buf, p...)
+			pending++
+			n := int64(frameSize + len(p))
+			switch j.opts.Sync {
+			case SyncAlways:
+			case SyncInterval:
+				if j.unsynced += n; j.unsynced < j.opts.SyncEveryBytes {
+					continue
+				}
+			default:
+				continue
+			}
+			if err := flush(); err != nil {
+				return err
+			}
+			if err := j.syncLocked(); err != nil {
+				return err
+			}
 		}
+		return flush()
+	}()
+	if cap(buf) <= maxKeptFrameBuf {
+		j.buf = buf
 	}
-	return nil
+	return err
+}
+
+// syncLocked fsyncs the active segment. Caller holds j.mu.
+func (j *Journal) syncLocked() error {
+	j.unsynced = 0
+	j.syncs++
+	return j.f.Sync()
 }
 
 // rotateLocked seals the active segment, applies retention, and opens the
 // next one. Caller holds j.mu.
 func (j *Journal) rotateLocked() error {
-	if err := j.f.Sync(); err != nil {
+	if err := j.syncLocked(); err != nil {
 		return err
 	}
 	if err := j.f.Close(); err != nil {
@@ -319,7 +377,6 @@ func (j *Journal) rotateLocked() error {
 	if err := j.applyRetentionLocked(); err != nil {
 		return err
 	}
-	j.unsynced = 0
 	return j.openSegment(j.seq + 1)
 }
 
@@ -364,8 +421,7 @@ func (j *Journal) Sync() error {
 	if j.closed {
 		return nil
 	}
-	j.unsynced = 0
-	return j.f.Sync()
+	return j.syncLocked()
 }
 
 // Close syncs and closes the active segment. The journal can be reopened
@@ -377,7 +433,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if err := j.f.Sync(); err != nil {
+	if err := j.syncLocked(); err != nil {
 		j.f.Close()
 		return err
 	}
@@ -392,6 +448,8 @@ func (j *Journal) Stats() Stats {
 		ActiveSeq:           j.seq,
 		ActiveBytes:         j.segBytes,
 		Appended:            j.appended,
+		Writes:              j.writes,
+		Syncs:               j.syncs,
 		RecoveredTruncation: j.recovered,
 	}
 	seqs, err := listSegments(j.opts.Dir)

@@ -167,11 +167,6 @@ func TestSGDMomentum(t *testing.T) {
 	if math.Abs(float64(p.W[0]-0.71)) > 1e-6 {
 		t.Errorf("second step w = %v", p.W[0])
 	}
-	o.Reset()
-	o.Step([]*Param{p})
-	if math.Abs(float64(p.W[0]-0.61)) > 1e-6 {
-		t.Errorf("post-reset step w = %v", p.W[0])
-	}
 }
 
 func TestTrainingLearnsLinearlySeparable(t *testing.T) {

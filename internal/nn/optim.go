@@ -38,7 +38,3 @@ func (o *SGD) Step(params []*Param) {
 		}
 	}
 }
-
-// Reset clears momentum state (used when reusing an optimizer across
-// training phases, e.g. QAT fine-tuning after FP32 training).
-func (o *SGD) Reset() { o.velocity = make(map[*Param][]float32) }

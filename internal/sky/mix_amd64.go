@@ -23,28 +23,34 @@ func expOnFMAPath() bool {
 	return math.Float64bits(math.Exp(-0.0323553)) == 0x3feefb2ffdf4d55d
 }
 
-// quads evaluates the whole quads of dirs, four directions per kernel
-// call, when the kernel is on, and returns how many directions it
-// evaluated. Each lane repeats the scalar loop's operations in ring order
-// — the pull in Dot's order with a true divide, math.Exp's FMA path step
-// by step, the term's separate multiply and add, math.Log's SSE2 path —
-// so every value equals m.at's bit for bit, except that a NaN value may
-// carry another NaN payload (TestQuadsMatchScalar, FuzzMixtureQuad).
+// quads evaluates dirs, four directions per kernel call, when the kernel
+// is on, and returns how many directions it evaluated: all of them, or
+// none. A last partial quad is padded with copies of its last direction,
+// and only its real lanes are kept. Each lane repeats the scalar loop's
+// operations in ring order — the pull in Dot's order with a true divide,
+// math.Exp's FMA path step by step, the term's separate multiply and add,
+// math.Log's SSE2 path — so every value equals m.at's bit for bit, except
+// that a NaN value may carry another NaN payload (TestQuadsMatchScalar,
+// FuzzMixtureQuad).
 func (m *mixture) quads(dirs []geom.Vec, out []float64) int {
 	if !kernelOn {
 		return 0
 	}
-	n := len(dirs) &^ 3
-	for i := 0; i < n; i += 4 {
-		d := dirs[i : i+4 : i+4]
+	for i := 0; i < len(dirs); i += 4 {
+		var d [4]geom.Vec
+		for k := range d {
+			d[k] = dirs[min(i+k, len(dirs)-1)]
+		}
 		lanes := [12]float64{
 			d[0].X, d[1].X, d[2].X, d[3].X,
 			d[0].Y, d[1].Y, d[2].Y, d[3].Y,
 			d[0].Z, d[1].Z, d[2].Z, d[3].Z,
 		}
-		mixQuadAVX2(m.x, m.y, m.z, m.eta, m.deta, m.q, m.pf, &lanes, (*[4]float64)(out[i:i+4]))
+		var quad [4]float64
+		mixQuadAVX2(m.x, m.y, m.z, m.eta, m.deta, m.q, m.pf, &lanes, &quad)
+		copy(out[i:], quad[:])
 	}
-	return n
+	return len(dirs)
 }
 
 // hasAVX2FMA reports whether the CPU has AVX2 and FMA and the OS saves YMM

@@ -187,10 +187,10 @@ func (m *mixture) at(d geom.Vec) float64 {
 	return ll
 }
 
-// eval sets out[i] to the surface at dirs[i]: whole quads of directions
-// through the kernel where it runs, the rest through the scalar loop. A
-// value does not depend on the directions evaluated with it, so any split
-// of dirs gives the same bits.
+// eval sets out[i] to the surface at dirs[i]: quads of directions through
+// the kernel where it runs, the scalar loop elsewhere. A value does not
+// depend on the directions evaluated with it, so any split of dirs gives
+// the same bits.
 func (m *mixture) eval(dirs []geom.Vec, out []float64) {
 	out = out[:len(dirs)]
 	for i := m.quads(dirs, out); i < len(dirs); i++ {

@@ -106,7 +106,9 @@ type Config struct {
 	// oldest window events are lost (counted, never fatal).
 	BufferEvents int
 	// QueueEvents is the ingest-channel capacity (default 4096). Offer
-	// drops (and counts) events when it is full.
+	// drops (and counts) events when it is full. It also bounds the batch
+	// the consumer drains from the queue at once, which a journaling
+	// processor records with one journal call.
 	QueueEvents int
 	// AlertBuffer is the alert-channel capacity (default 16). Alerts are
 	// dropped (and counted) when the consumer lags this far behind. Run
@@ -116,10 +118,12 @@ type Config struct {
 	// Admit, when non-nil, gates every submitted event before any trigger
 	// state advances: an event it rejects is shed (counted under CtrShed)
 	// without being journaled, buffered, or seen by the rate estimator. It
-	// runs on the single consumer goroutine, so it may keep internal state;
-	// determinism is the gate's contract — a gate that is a pure function
-	// of the admitted event-time sequence (the chaos campaign's overload
-	// model is one) keeps the alert sequence a pure function of the input.
+	// runs on the single consumer goroutine, in event order, so it may keep
+	// internal state; it sees a drained batch's events before the trigger
+	// steps any of them. Determinism is the gate's contract — a gate that
+	// is a pure function of the admitted event-time sequence (the chaos
+	// campaign's overload model is one) keeps the alert sequence a pure
+	// function of the input.
 	// Because shed events are never journaled, replaying a journal recorded
 	// through a gate reproduces the gated run's alerts bitwise with no gate
 	// configured.
@@ -149,6 +153,9 @@ type Config struct {
 	Metrics *obs.Registry
 	// Journal, when non-nil, durably records every admitted event before
 	// it is processed, so a crash can be replayed into the same alerts.
+	// The consumer journals the admitted events of each drained batch with
+	// one AppendBatch, so the journal's bytes and fsyncs are those of one
+	// Append per event.
 	Journal *flightlog.Journal
 }
 
@@ -368,6 +375,10 @@ type Processor struct {
 	done   chan struct{}
 	stop   sync.Once
 
+	// Metric handles, resolved once in New (nil when Config.Metrics is).
+	ingested, shed   *obs.Counter
+	occupancy, bkgHz *obs.Gauge
+
 	// Consumer-goroutine state (unshared).
 	ring      *ring
 	rate      *rateEstimator
@@ -376,6 +387,14 @@ type Processor struct {
 	deadUntil float64
 	root      *xrand.RNG
 	seq       int
+
+	// Journaling scratch, reused across batches: the records of one batch
+	// marshaled back to back in jbuf, their end offsets, the records as
+	// slices of jbuf, and the batch index of each record's event.
+	jbuf  []byte
+	jends []int
+	jrecs [][]byte
+	jidx  []int
 }
 
 // New validates cfg and starts the processor's consumer goroutine. Callers
@@ -389,14 +408,19 @@ func New(cfg Config) *Processor {
 		}
 		cfg.BkgOverride = cls
 	}
+	m := cfg.Metrics
 	p := &Processor{
-		cfg:    cfg,
-		in:     make(chan *detector.Event, cfg.QueueEvents),
-		alerts: make(chan Alert, cfg.AlertBuffer),
-		done:   make(chan struct{}),
-		ring:   newRing(cfg.BufferEvents),
-		rate:   &rateEstimator{binSec: cfg.RateBinSec, alpha: cfg.RateAlpha, rate: cfg.InitialRate},
-		root:   xrand.New(cfg.Seed),
+		cfg:       cfg,
+		in:        make(chan *detector.Event, cfg.QueueEvents),
+		alerts:    make(chan Alert, cfg.AlertBuffer),
+		done:      make(chan struct{}),
+		ingested:  m.Counter(CtrIngested),
+		shed:      m.Counter(CtrShed),
+		occupancy: m.Gauge(GaugeOccupancy),
+		bkgHz:     m.Gauge(GaugeRate),
+		ring:      newRing(cfg.BufferEvents),
+		rate:      &rateEstimator{binSec: cfg.RateBinSec, alpha: cfg.RateAlpha, rate: cfg.InitialRate},
+		root:      xrand.New(cfg.Seed),
 	}
 	go p.consume()
 	return p
@@ -431,12 +455,27 @@ func (p *Processor) Close() {
 	<-p.done
 }
 
-// consume is the single consumer goroutine: it owns all trigger state.
+// consume is the single consumer goroutine: it owns all trigger state. It
+// takes the events already queued as one batch, up to QueueEvents.
 func (p *Processor) consume() {
 	defer close(p.done)
 	defer close(p.alerts)
+	batch := make([]*detector.Event, 0, p.cfg.QueueEvents)
 	for ev := range p.in {
-		p.step(ev)
+		batch = append(batch[:0], ev)
+	drain:
+		for len(batch) < cap(batch) {
+			select {
+			case ev, ok := <-p.in:
+				if !ok {
+					break drain
+				}
+				batch = append(batch, ev)
+			default:
+				break drain
+			}
+		}
+		p.process(batch)
 	}
 	// End of stream: a burst window that was still filling fires with the
 	// data it has, like a flight segment ending mid-burst.
@@ -445,30 +484,77 @@ func (p *Processor) consume() {
 	}
 }
 
-// step advances every piece of trigger state past one admitted event.
-func (p *Processor) step(ev *detector.Event) {
-	m := p.cfg.Metrics
-	if p.cfg.Admit != nil && !p.cfg.Admit(ev) {
-		m.Counter(CtrShed).Inc()
+// process runs one drained batch: Admit on every event in order, the
+// journal for the admitted ones, then the trigger on each in order — so
+// every admitted event is on disk (and fsynced, as the sync policy says)
+// before any of the batch is processed.
+func (p *Processor) process(batch []*detector.Event) {
+	admitted := batch[:0]
+	for _, ev := range batch {
+		if p.cfg.Admit != nil && !p.cfg.Admit(ev) {
+			p.shed.Inc()
+			continue
+		}
+		p.ingested.Inc()
+		admitted = append(admitted, ev)
+	}
+	if p.cfg.Journal != nil {
+		p.journal(admitted)
+	}
+	for _, ev := range admitted {
+		p.step(ev)
+	}
+}
+
+// journal records events with one journal call and replaces each journaled
+// event with its journaled form, decoded into one event slab and one hit
+// slab. evio stores hit fields as float32, so localizing the original
+// float64 event would diverge from a replay at the last bit: live and
+// replay must see identical inputs for the alert sequence to reproduce
+// bitwise. An event that cannot be marshaled, or a batch the journal
+// rejects, counts under CtrJournalErrors and is processed as it came.
+func (p *Processor) journal(events []*detector.Event) {
+	p.jbuf, p.jends, p.jidx = p.jbuf[:0], p.jends[:0], p.jidx[:0]
+	failed := 0
+	for i, ev := range events {
+		b, err := evio.AppendMarshal(p.jbuf, []*detector.Event{ev})
+		if err != nil {
+			failed++
+			continue
+		}
+		p.jbuf = b
+		p.jends = append(p.jends, len(b))
+		p.jidx = append(p.jidx, i)
+	}
+	p.jrecs = p.jrecs[:0]
+	start := 0
+	for _, end := range p.jends {
+		p.jrecs = append(p.jrecs, p.jbuf[start:end:end])
+		start = end
+	}
+	if len(p.jrecs) > 0 {
+		if err := p.cfg.Journal.AppendBatch(p.jrecs); err != nil {
+			failed += len(p.jrecs)
+			p.jidx = p.jidx[:0]
+		}
+	}
+	if failed > 0 {
+		p.cfg.Metrics.Counter(CtrJournalErrors).Add(int64(failed))
+	}
+	if len(p.jidx) == 0 {
 		return
 	}
-	m.Counter(CtrIngested).Inc()
-
-	if p.cfg.Journal != nil {
-		blob, err := evio.Marshal([]*detector.Event{ev})
-		if err == nil {
-			err = p.cfg.Journal.Append(blob)
-		}
-		if err != nil {
-			m.Counter(CtrJournalErrors).Inc()
-		} else if dec, derr := evio.Unmarshal(blob); derr == nil && len(dec) == 1 {
-			// Process the journaled form: evio stores hit fields as float32,
-			// so localizing the original float64 event would diverge from a
-			// replay at the last bit. Live and replay must see identical
-			// inputs for the alert sequence to reproduce bitwise.
-			ev = dec[0]
-		}
+	dec, err := evio.UnmarshalSlab(p.jrecs)
+	if err != nil || len(dec) != len(p.jidx) {
+		return // unreachable: the records were marshaled just above
 	}
+	for k, i := range p.jidx {
+		events[i] = &dec[k]
+	}
+}
+
+// step advances every piece of trigger state past one admitted event.
+func (p *Processor) step(ev *detector.Event) {
 	t := ev.ArrivalTime
 
 	// A pending burst whose window is complete fires before this event
@@ -480,8 +566,8 @@ func (p *Processor) step(ev *detector.Event) {
 	frozen := p.pend != nil || t < p.deadUntil
 	p.rate.advance(t, frozen)
 	p.ring.push(ev)
-	m.Gauge(GaugeOccupancy).Set(float64(p.ring.n))
-	m.Gauge(GaugeRate).Set(p.rate.rate)
+	p.occupancy.Set(float64(p.ring.n))
+	p.bkgHz.Set(p.rate.rate)
 
 	// Advance the sliding window: events at or before t−W leave it, and so
 	// do events before the last alert's window end (the re-arm rule).
@@ -508,7 +594,7 @@ func (p *Processor) step(ev *detector.Event) {
 			count:    count,
 			rate:     p.rate.rate,
 		}
-		m.Counter(CtrTriggers).Inc()
+		p.cfg.Metrics.Counter(CtrTriggers).Inc()
 	}
 }
 
